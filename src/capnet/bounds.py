@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLayerError, ShapeError
+from .errors import DegenerateLayerError, ShapeError, VerificationError
 from .network import Dataset, ELEMENTWISE_TAGS, Network, NormProfile, profile
 
 
@@ -133,10 +133,10 @@ def tune_r(alpha: float, beta: float, b: float, c: float, n: float, d: int) -> T
     Requires alpha > 0, beta in (0, 1], b, c, n >= 1 and integer d >= 1.
     Whenever c <= b n the returned value satisfies the closed-form cap
     value <= min{ 3 b^(a/(a+b)) / (n/c)^(b/(a+b)) , d^alpha/n },
-    and this is asserted.  For c > b n the cap can genuinely fail (e.g.
-    alpha=1.5, beta=1, b=1, c=10, n=1, d=10 scans to 11 against a cap of
-    about 7.54) while the scanned value itself is still exact, so the
-    assertion is limited to the cap's domain of validity.
+    and a violation raises VerificationError.  For c > b n the cap can
+    genuinely fail (e.g. alpha=1.5, beta=1, b=1, c=10, n=1, d=10 scans to 11
+    against a cap of about 7.54) while the scanned value itself is still
+    exact, so the check is limited to the cap's domain of validity.
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -158,7 +158,8 @@ def tune_r(alpha: float, beta: float, b: float, c: float, n: float, d: int) -> T
     if c <= b * n:
         cap = min(3.0 * b ** (alpha / (alpha + beta)) / (n / c) ** (beta / (alpha + beta)),
                   outer)
-        assert result.value <= cap * (1.0 + 1e-12), (result.value, cap)
+        if not result.value <= cap * (1.0 + 1e-12):
+            raise VerificationError(f"r-scan value {result.value} exceeds its cap {cap}")
     return result
 
 
@@ -178,7 +179,8 @@ def bound_frobenius_depth_free(prof: NormProfile, B: float, m: int, gamma: float
     # consistency knot: the r-scan with alpha = beta = 1/2 can never beat the
     # closed form by more than its stated factor 3
     t = tune_r(0.5, 0.5, math.sqrt(lb), logbar(m) ** 1.5, math.sqrt(m), prof.depth)
-    assert t.value <= 3.0 * min(first, second) * (1.0 + 1e-9)
+    if not t.value <= 3.0 * min(first, second) * (1.0 + 1e-9):
+        raise VerificationError(f"r-scan {t.value} over 3x closed form {min(first, second)}")
     return (B * prof.frobenius_product / gamma) * min(first, second)
 
 
@@ -206,7 +208,8 @@ def bound_schatten_depth_free(prof: NormProfile, B: float, m: int, gamma: float,
     first = lb ** e_ratio * (logbar(m) ** 1.5) ** e_logm / m ** e_m
     second = prof.depth ** 1.5 / math.sqrt(m)
     t = tune_r(1.5, 1.0 / p, lb ** (1.0 / p), logbar(m) ** 1.5, math.sqrt(m), prof.depth)
-    assert t.value <= 3.0 * min(first, second) * (1.0 + 1e-9)
+    if not t.value <= 3.0 * min(first, second) * (1.0 + 1e-9):
+        raise VerificationError(f"r-scan {t.value} over 3x closed form {min(first, second)}")
     lnh = math.log(h) if h >= 2 else 1.0
     return (B * prof.ratio_max * lnh * math.log(m) * prof.gamma / gamma) * min(first, second)
 

@@ -1,9 +1,8 @@
 """Command-line surface: bound reports, compression, estimation, demos, suites.
 
 Exit codes: 0 success, 1 usage, 2 parse/shape error, 3 verification failure,
-4 numerical failure.  All commands are deterministic for a fixed RunConfig
-(including the seed); CAPNET_THREADS may cap the worker count but can never
-change results (computations run on a single worker).
+4 numerical failure.  All commands run on a single worker and are
+deterministic for a fixed RunConfig (including the seed).
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -21,19 +19,10 @@ import numpy as np
 
 from . import bounds, compress, lowerbound, matlin, rademacher, verify
 from .errors import NumericalError, ParseError, ShapeError, VerificationError
-from .network import (Dataset, Layer, Network, load_dataset, load_network,
-                      profile, save_network)
+from .network import (Dataset, Layer, Network, _rng, _save, load_dataset,
+                      load_network, profile, save_network, sphere_points)
 
 _FMT = bounds._fmt
-
-
-def worker_cap() -> int:
-    """Parsed CAPNET_THREADS; a cap on workers (speed only, never results)."""
-    raw = os.environ.get("CAPNET_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -225,9 +214,7 @@ def cmd_compress(args) -> int:
     ]
     if args.out:
         save_network(compressed, args.out)
-        with open(args.out + ".cert.json", "w", encoding="utf-8") as fh:
-            json.dump(cert.to_obj(), fh, indent=1)
-            fh.write("\n")
+        _save(cert.to_obj(), args.out + ".cert.json")
         lines.append(f"wrote {args.out} and {args.out}.cert.json")
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
@@ -274,7 +261,7 @@ def cmd_lowerbound(args) -> int:
     cfg = _config(args, "lowerbound")
     rows = lowerbound.demonstrate_lower_bound(
         h_grid=args.h_grid, m_grid=args.m_grid, p_grid=args.p_grid,
-        seed=cfg.seed, samples=cfg.samples,
+        seed=cfg.seed, gamma=cfg.gamma, samples=cfg.samples,
     )
     header = ["h", "m", "p", "diag_value", "scalar_value", "bound_lower", "ratio"]
     text = _csv_text(header, [[r["h"], r["m"], _FMT(r["p"]), r["diag_value"],
@@ -288,8 +275,7 @@ def _ultrathin(depth: int, dim: int, product: float, seed: int) -> Network:
     """Depth-d chain: one row vector then positive scalars, all Frobenius
     norms equal to product^(1/d)."""
     per = product ** (1.0 / depth)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
-    v = rng.standard_normal(dim)
+    v = _rng(seed, 0).standard_normal(dim)
     v *= per / float(np.linalg.norm(v))
     layers = [Layer(weight=v[None, :], activation="relu" if depth > 1 else None)]
     for j in range(2, depth + 1):
@@ -299,9 +285,8 @@ def _ultrathin(depth: int, dim: int, product: float, seed: int) -> Network:
 
 
 def _random_family(depth: int, dim: int, product: float, seed: int) -> Network:
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1, depth)))
-    net = verify.random_net(rng, depth=depth, max_width=6, scalar_output=True,
-                            input_dim=dim)
+    net = verify.random_net(_rng(seed, 1, depth), depth=depth, max_width=6,
+                            scalar_output=True, input_dim=dim)
     per = product ** (1.0 / depth)
     layers = [
         Layer(weight=l.weight * (per / matlin.matrix_norm(l.weight, matlin.FROBENIUS)),
@@ -311,15 +296,6 @@ def _random_family(depth: int, dim: int, product: float, seed: int) -> Network:
     return Network(layers=tuple(layers), input_dim=dim)
 
 
-def _sphere_dataset(m: int, dim: int, radius: float, seed: int) -> Dataset:
-    pts = np.empty((m, dim))
-    for i in range(m):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2, i)))
-        v = rng.standard_normal(dim)
-        pts[i] = radius * v / float(np.linalg.norm(v))
-    return Dataset(points=pts)
-
-
 def cmd_sweep(args) -> int:
     cfg = _config(args, "sweep")
     if any(d < 1 for d in args.depths):
@@ -327,7 +303,7 @@ def cmd_sweep(args) -> int:
     if args.data:
         data = load_dataset(args.data)
     else:
-        data = _sphere_dataset(args.m, args.dim, args.B, cfg.seed)
+        data = Dataset(points=args.B * sphere_points(args.dim, args.m, cfg.seed, (2,)))
     B, m = data.radius, data.m
     rows = []
     active_plateau = []

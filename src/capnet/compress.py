@@ -20,8 +20,8 @@ import numpy as np
 
 from . import matlin
 from .errors import DegenerateLayerError, VerificationError
-from .network import (Layer, Network, activation_batch, forward_batch,
-                      lipschitz_product, profile)
+from .network import (Layer, Network, NormProfile, activation_batch, forward_batch,
+                      lipschitz_product, profile, sphere_points)
 
 # a layer whose second singular value is this far below its first is treated
 # as already rank-1 and kept verbatim
@@ -77,14 +77,16 @@ def select_layer(net: Network, p: float, r: int) -> int:
     """
     if not 1 <= r <= net.depth:
         raise ValueError(f"r={r} out of range for depth {net.depth}")
-    kind = matlin.schatten(p)
+    return _select(profile(net, p), r)
+
+
+def _select(prof: NormProfile, r: int) -> int:
     best_j, best_ratio = 0, math.inf
     for j in range(1, r + 1):
-        w = net.layers[j - 1].weight
-        spec = matlin.matrix_norm(w, matlin.SPECTRAL)
+        spec = prof.spectral[j - 1]
         if spec == 0.0:
             raise DegenerateLayerError(f"layer {j} is zero; ratio undefined")
-        ratio = matlin.matrix_norm(w, kind) / spec
+        ratio = prof.schatten[j - 1] / spec
         if ratio < best_ratio:
             best_j, best_ratio = j, ratio
     return best_j
@@ -112,7 +114,7 @@ def rank1_replace(net: Network, p: float, r: int, B: float,
     theorem_bound = B * gamma_prod * (2.0 * p * log_ratio / r) ** (1.0 / p)
 
     if r >= p * log_ratio:
-        r_prime = select_layer(net, p, r)
+        r_prime = _select(prof, r)
         w = net.layers[r_prime - 1].weight
         approx, err = matlin.rank1_approx(w)
         spec = prof.spectral[r_prime - 1]
@@ -153,31 +155,17 @@ def verify_certificate(net: Network, compressed: Network, cert: CompressionCerti
     is a lower bound on the true sup, so exceeding either certified bound
     (at 1e-6 relative tolerance) is a hard failure.
     """
-    n = net.input_dim
-    pts = [B * v for v in _sphere_points(n, samples, seed)]
     right = matlin.svd(net.layers[0].weight).right
-    for k in range(right.shape[1]):
-        pts.append(B * right[:, k])
-        pts.append(-B * right[:, k])
-    x = np.vstack(pts) if pts else np.zeros((0, n))
+    extremes = [sign * B * right[:, k] for k in range(right.shape[1]) for sign in (1.0, -1.0)]
+    x = np.vstack([B * sphere_points(net.input_dim, samples, seed)] + extremes)
     diff = forward_batch(net, x) - forward_batch(compressed, x)
-    observed = float(np.sqrt((diff * diff).sum(axis=1)).max()) if len(pts) else 0.0
+    observed = float(np.sqrt((diff * diff).sum(axis=1)).max())
     for name, bound in (("lemma", cert.lemma_bound), ("theorem", cert.theorem_bound)):
         if observed > bound * (1.0 + 1e-6):
             raise VerificationError(
                 f"observed deviation {observed} exceeds {name} bound {bound}"
             )
     return observed
-
-
-def _sphere_points(n: int, count: int, seed: int) -> list[np.ndarray]:
-    out = []
-    for i in range(count):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        v = rng.standard_normal(n)
-        norm = float(np.linalg.norm(v))
-        out.append(v / norm if norm > 0 else np.eye(n)[0])
-    return out
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,8 @@ import numpy as np
 from . import matlin
 from .bounds import bound_lower
 from .errors import VerificationError
-from .network import Dataset, Layer, Network
-from .rademacher import ENUM_CAP, ClassSpec, RademacherEstimate, _sign_chunks
+from .network import Dataset, Layer, Network, _rng
+from .rademacher import ENUM_CAP, ClassSpec, RademacherEstimate, _sign_mean
 
 
 def dual_exponent(p: float) -> float:
@@ -117,6 +117,8 @@ def build_diag(h: int, m: int, p: float, B: float, gamma: float,
     """
     if h < 1 or m < 1:
         raise ValueError("need h >= 1 and m >= 1")
+    if not gamma > 0:
+        raise ValueError(f"margin parameter gamma must be positive, got {gamma}")
     budgets = tuple(float(b) for b in budgets)
     if not budgets or any(b <= 0 for b in budgets):
         raise ValueError("budgets must be a non-empty positive sequence")
@@ -196,11 +198,8 @@ def _sign_expectation(fn, m: int, mode: str, samples: int, seed: int,
     if mode == "enumerate":
         if m > ENUM_CAP:
             raise ValueError(f"m={m} exceeds the enumeration cap {ENUM_CAP}; use monte-carlo")
-        acc = 0.0
-        for s in _sign_chunks(m):
-            acc += float(fn(s).sum())
         return RademacherEstimate(
-            value=scale * acc / 2 ** m, method="exact-enumeration",
+            value=scale * _sign_mean(fn, m), method="exact-enumeration",
             epsilon_samples=2 ** m, sup_restarts=0, sup_steps=0, std_error=0.0, seed=0,
         )
     if mode == "monte-carlo":
@@ -208,8 +207,7 @@ def _sign_expectation(fn, m: int, mode: str, samples: int, seed: int,
             raise ValueError("monte-carlo mode needs samples >= 2")
         vals = np.empty(samples)
         for i in range(samples):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-            vals[i] = float(fn(rng.choice([-1.0, 1.0], size=(1, m)))[0])
+            vals[i] = float(fn(_rng(seed, i).choice([-1.0, 1.0], size=(1, m)))[0])
         return RademacherEstimate(
             value=scale * float(vals.mean()), method="monte-carlo",
             epsilon_samples=samples, sup_restarts=0, sup_steps=0,

@@ -151,14 +151,16 @@ def matrix_norm(w, kind: NormKind) -> float:
         return float(np.sqrt((w * w).sum(axis=1)).sum())
     if kind.tag == "rows_l1_max":
         return float(np.abs(w).sum(axis=1).max())
-    s = singular_values(w)
+    return singular_norm(singular_values(w), kind)
+
+
+def singular_norm(s: np.ndarray, kind: NormKind) -> float:
+    """Spectral or Schatten norm from a matrix's singular values s."""
     if kind.tag == "spectral":
         return float(s[0])
-    # schatten: normalise by the top value so s**p cannot overflow for large p
-    top = float(s[0])
-    if top == 0.0:
-        return 0.0
-    return top * float(np.sum((s / top) ** kind.p) ** (1.0 / kind.p))
+    if kind.tag == "schatten":
+        return _lp_vec_norm(s, kind.p)
+    raise ValueError(f"norm {kind.tag!r} is not a function of the singular values")
 
 
 def rank1_approx(w) -> tuple[np.ndarray, float]:
@@ -198,7 +200,8 @@ def project_l1_ball(v, radius: float) -> np.ndarray:
 
 
 def _lp_vec_norm(a: np.ndarray, p: float) -> float:
-    top = float(np.max(a, initial=0.0))
+    # normalise by the top value so a**p cannot overflow for large p
+    top = float(a.max(initial=0.0))
     if top == 0.0:
         return 0.0
     return top * float(np.sum((a / top) ** p) ** (1.0 / p))

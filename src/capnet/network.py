@@ -24,6 +24,28 @@ ACTIVATION_TAGS = ("relu", "identity", "max_to_scalar")
 ELEMENTWISE_TAGS = ("relu", "identity")
 
 
+def _rng(seed: int, *key: int) -> np.random.Generator:
+    """The generator for spawn key ``key`` under master seed ``seed``.
+
+    Every per-index stream (samples, restarts, points, trials) comes from
+    here, so it depends only on (seed, key), never on what was drawn before.
+    """
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+
+
+def sphere_points(dim: int, count: int, seed: int, key: tuple[int, ...] = ()) -> np.ndarray:
+    """(count, dim) unit vectors; point i is drawn from ``_rng(seed, *key, i)``.
+
+    A zero draw falls back to the first basis vector.
+    """
+    pts = np.empty((count, dim))
+    for i in range(count):
+        v = _rng(seed, *key, i).standard_normal(dim)
+        norm = float(np.linalg.norm(v))
+        pts[i] = v / norm if norm > 0 else np.eye(dim)[0]
+    return pts
+
+
 def activation_batch(tag: str, z: np.ndarray) -> np.ndarray:
     """Apply an activation to a batch of pre-activations (rows are samples)."""
     if tag == "relu":
@@ -180,10 +202,10 @@ def profile(net: Network, p: float = 2.0) -> NormProfile:
     spec, frob, schat, r21, r1inf = [], [], [], [], []
     for layer in net.layers:
         w = layer.weight
-        s = matlin.matrix_norm(w, matlin.SPECTRAL)
-        spec.append(s)
+        sv = matlin.singular_values(w)
+        spec.append(matlin.singular_norm(sv, matlin.SPECTRAL))
         frob.append(matlin.matrix_norm(w, matlin.FROBENIUS))
-        schat.append(s if kind.tag == "spectral" else matlin.matrix_norm(w, kind))
+        schat.append(matlin.singular_norm(sv, kind))
         r21.append(matlin.matrix_norm(w, matlin.ROWS_L2_SUM))
         r1inf.append(matlin.matrix_norm(w, matlin.ROWS_L1_MAX))
     degenerate = any(s == 0.0 for s in spec)
@@ -318,37 +340,35 @@ def dataset_from_obj(obj) -> Dataset:
         raise ParseError(f"dataset: {exc}") from exc
 
 
-def load_network(path: str) -> Network:
+def _load(path: str, from_obj):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     try:
-        return network_from_obj(obj)
+        return from_obj(obj)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+
+
+def _save(obj: dict, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=1)
+        fh.write("\n")
+
+
+def load_network(path: str) -> Network:
+    return _load(path, network_from_obj)
 
 
 def save_network(net: Network, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(network_to_obj(net), fh, indent=1)
-        fh.write("\n")
+    _save(network_to_obj(net), path)
 
 
 def load_dataset(path: str) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON ({exc})") from exc
-    try:
-        return dataset_from_obj(obj)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    return _load(path, dataset_from_obj)
 
 
 def save_dataset(data: Dataset, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dataset_to_obj(data), fh, indent=1)
-        fh.write("\n")
+    _save(dataset_to_obj(data), path)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import matlin
 from .errors import VerificationError
-from .network import Dataset, Network, activation_batch
+from .network import Dataset, Network, _rng, activation_batch
 
 ENUM_CAP = 22           # exact enumeration of sign vectors caps at 2^22
 CONTRACTION_CAP = 14    # sign-enumeration cap inside the contraction harnesses
@@ -93,11 +93,15 @@ def sign_matrix(m: int, start: int = 0, stop: int | None = None) -> np.ndarray:
     return (((idx[:, None] >> shifts) & 1) * 2 - 1).astype(np.float64)
 
 
-def _sign_chunks(m: int, chunk_bits: int = 14):
+def _sign_mean(fn, m: int) -> float:
+    """Exact mean of fn over all 2^m sign vectors; fn maps a block of sign
+    vectors (rows, 2^14 at a time) to one value per row."""
     total = 1 << m
-    step = 1 << min(chunk_bits, m)
+    step = 1 << min(14, m)
+    acc = 0.0
     for start in range(0, total, step):
-        yield sign_matrix(m, start, min(start + step, total))
+        acc += float(fn(sign_matrix(m, start, min(start + step, total))).sum())
+    return acc / total
 
 
 def exact_rademacher(values) -> RademacherEstimate:
@@ -113,11 +117,8 @@ def exact_rademacher(values) -> RademacherEstimate:
         raise ValueError(
             f"m={m} exceeds the exact-enumeration cap {ENUM_CAP}; use mc_rademacher"
         )
-    acc = 0.0
-    for s in _sign_chunks(m):
-        acc += float((s @ v).max(axis=1).sum())
     return RademacherEstimate(
-        value=acc / (2 ** m * m), method="exact-enumeration",
+        value=_sign_mean(lambda s: (s @ v).max(axis=1), m) / m, method="exact-enumeration",
         epsilon_samples=2 ** m, sup_restarts=0, sup_steps=0, std_error=0.0, seed=0,
     )
 
@@ -219,6 +220,8 @@ def sup_ascent(eps, spec: ClassSpec, data: Dataset, restarts: int = 8,
     acts = [l.activation for l in spec.template.layers]
     masks = spec.layer_masks()
     trainable = spec.layer_trainable()
+    if restarts < 1 and not any(trainable):
+        raise ValueError("a class with no trainable layer needs restarts >= 1")
 
     # normalise leading radii to 1
     multiplier = 1.0
@@ -276,7 +279,7 @@ def sup_ascent(eps, spec: ClassSpec, data: Dataset, restarts: int = 8,
                 w1 = w1 * masks[0]
             ws[0] = _scale_to_boundary(w1, norm_cons[0][0])
         else:
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
+            rng = _rng(seed, k)
             for j in range(d):
                 if trainable[j]:
                     w = rng.standard_normal(ws[j].shape)
@@ -325,7 +328,6 @@ def sup_ascent(eps, spec: ClassSpec, data: Dataset, restarts: int = 8,
             else:
                 break
 
-    assert best_ws is not None
     out_weights = [
         best_ws[j] * spec.constraints[j][0].radius if trainable[j] else best_ws[j]
         for j in range(d)
@@ -343,8 +345,7 @@ def mc_rademacher(spec: ClassSpec, data: Dataset, epsilon_samples: int,
         raise ValueError("need at least 2 epsilon samples")
     vals = np.empty(epsilon_samples)
     for i in range(epsilon_samples):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i, 0)))
-        eps = rng.choice([-1.0, 1.0], size=data.m)
+        eps = _rng(seed, i, 0).choice([-1.0, 1.0], size=data.m)
         sub_seed = int(np.random.SeedSequence(entropy=seed, spawn_key=(i, 1)).generate_state(1)[0])
         vals[i], _ = sup_ascent(eps, spec, data, restarts=restarts, steps=steps, seed=sub_seed)
     return RademacherEstimate(
@@ -368,20 +369,41 @@ def _univariate(tag: str):
     raise ValueError(f"unknown scalar activation {tag!r}")
 
 
-def _refine_directions(signs, f, act, dact, start, project, steps=25):
-    """Per-sign-vector ascent of |sum_i eps_i act(w . f_i)| over a ball.
+def _check_contraction(f_values, R: float, lam: float, pool, project, right_norm,
+                       activation: str, label: str) -> tuple[float, float]:
+    """The peeling check for one ball: pool(dim) gives the feasible starting
+    directions, project maps rows back onto the ball, and right_norm is the
+    dual norm over the last axis of the (E, K, dim) signed sums.  Each sign
+    vector's best start is refined by projected ascent."""
+    f = np.asarray(f_values, dtype=np.float64)
+    if f.ndim != 3:
+        raise ValueError("f_values must have shape (K, m, dim)")
+    k, m, dim = f.shape
+    if m > CONTRACTION_CAP:
+        raise ValueError(f"m={m} exceeds the enumeration cap {CONTRACTION_CAP}")
+    act, dact = _univariate(activation)
+    signs = sign_matrix(m)
 
-    signs: (E, m); f: (m, dim); start: (E, dim) feasible; project maps rows
-    back onto the feasible set.  Returns refined feasible directions.
-    """
-    w = start.copy()
-    for t in range(1, steps + 1):
-        z = w @ f.T                      # (E, m)
-        inner = (signs * act(z)).sum(axis=1)
-        grad = (signs * dact(z)) @ f     # (E, dim)
-        w = w + (0.25 / math.sqrt(t)) * np.sign(inner)[:, None] * grad
-        w = project(w)
-    return w
+    t = np.einsum("cm,kmd->ckd", signs, f)
+    rhs = 2.0 * float(np.exp(lam * R * right_norm(t)).max(axis=1).mean())
+
+    dirs = pool(dim)
+    sup_inner = np.zeros(signs.shape[0])
+    for kk in range(k):
+        vals = act(f[kk] @ dirs.T)                      # (m, S)
+        cand = np.abs(signs @ vals)                     # (E, S)
+        w = dirs[cand.argmax(axis=1)]                   # (E, dim)
+        for step in range(1, 26):
+            z = w @ f[kk].T                             # (E, m)
+            inner = (signs * act(z)).sum(axis=1)
+            grad = (signs * dact(z)) @ f[kk]            # (E, dim)
+            w = project(w + (0.25 / math.sqrt(step)) * np.sign(inner)[:, None] * grad)
+        inner_r = np.abs((signs * act(w @ f[kk].T)).sum(axis=1))
+        sup_inner = np.maximum(sup_inner, np.maximum(cand.max(axis=1), inner_r))
+    lhs = float(np.exp(lam * sup_inner).mean())
+    if lhs > rhs * (1.0 + 1e-9):
+        raise VerificationError(f"{label} violated: lhs={lhs} > rhs={rhs}")
+    return lhs, rhs
 
 
 def check_contraction_frobenius(f_values, R: float, lam: float,
@@ -398,42 +420,18 @@ def check_contraction_frobenius(f_values, R: float, lam: float,
     """
     if activation not in ("relu", "identity"):
         raise ValueError("the Frobenius contraction step needs relu or identity")
-    f = np.asarray(f_values, dtype=np.float64)
-    if f.ndim != 3:
-        raise ValueError("f_values must have shape (K, m, dim)")
-    k, m, dim = f.shape
-    if m > CONTRACTION_CAP:
-        raise ValueError(f"m={m} exceeds the enumeration cap {CONTRACTION_CAP}")
-    act, dact = _univariate(activation)
-    signs = sign_matrix(m)
 
-    # exact right side
-    t = np.einsum("cm,kmd->ckd", signs, f)
-    norms = np.sqrt((t * t).sum(axis=2))
-    rhs = 2.0 * float(np.exp(lam * R * norms).max(axis=1).mean())
-
-    # sampled + refined left side (shared direction pool)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
-    dirs = rng.standard_normal((direction_samples, dim))
-    dirs *= R / np.sqrt((dirs * dirs).sum(axis=1, keepdims=True))
+    def pool(dim):
+        dirs = _rng(seed, 0).standard_normal((direction_samples, dim))
+        return dirs * (R / np.sqrt((dirs * dirs).sum(axis=1, keepdims=True)))
 
     def sphere(w):
         n = np.sqrt((w * w).sum(axis=1, keepdims=True))
         return np.where(n > 0, w * (R / n), w)
 
-    sup_inner = np.zeros(signs.shape[0])
-    for kk in range(k):
-        vals = act(f[kk] @ dirs.T)                      # (m, S)
-        cand = np.abs(signs @ vals)                     # (E, S)
-        best = cand.argmax(axis=1)
-        start = dirs[best]
-        refined = _refine_directions(signs, f[kk], act, dact, start, sphere)
-        inner_r = np.abs((signs * act(refined @ f[kk].T)).sum(axis=1))
-        sup_inner = np.maximum(sup_inner, np.maximum(cand.max(axis=1), inner_r))
-    lhs = float(np.exp(lam * sup_inner).mean())
-    if lhs > rhs * (1.0 + 1e-9):
-        raise VerificationError(f"contraction violated: lhs={lhs} > rhs={rhs}")
-    return lhs, rhs
+    return _check_contraction(f_values, R, lam, pool, sphere,
+                              lambda t: np.sqrt((t * t).sum(axis=2)),
+                              activation, "contraction")
 
 
 def check_contraction_l1inf(f_values, R: float, lam: float,
@@ -448,39 +446,17 @@ def check_contraction_l1inf(f_values, R: float, lam: float,
     exact maximisers of the linearised objective); the activation only needs
     to fix 0, so clip1 is allowed alongside relu and identity.
     """
-    f = np.asarray(f_values, dtype=np.float64)
-    if f.ndim != 3:
-        raise ValueError("f_values must have shape (K, m, dim)")
-    k, m, dim = f.shape
-    if m > CONTRACTION_CAP:
-        raise ValueError(f"m={m} exceeds the enumeration cap {CONTRACTION_CAP}")
-    act, dact = _univariate(activation)
-    signs = sign_matrix(m)
-
-    t = np.einsum("cm,kmd->ckd", signs, f)
-    rhs = 2.0 * float(np.exp(lam * R * np.abs(t).max(axis=2)).max(axis=1).mean())
-
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
-    vertices = np.concatenate([R * np.eye(dim), -R * np.eye(dim)], axis=0)
-    interior = rng.standard_normal((direction_samples, dim))
-    interior *= R / np.abs(interior).sum(axis=1, keepdims=True)
-    dirs = np.concatenate([vertices, interior], axis=0)
+    def pool(dim):
+        interior = _rng(seed, 0).standard_normal((direction_samples, dim))
+        interior = interior * (R / np.abs(interior).sum(axis=1, keepdims=True))
+        return np.concatenate([R * np.eye(dim), -R * np.eye(dim), interior], axis=0)
 
     def l1ball(w):
         return np.vstack([matlin.project_l1_ball(row, R)[None, :] for row in w])
 
-    sup_inner = np.zeros(signs.shape[0])
-    for kk in range(k):
-        vals = act(f[kk] @ dirs.T)
-        cand = np.abs(signs @ vals)
-        start = dirs[cand.argmax(axis=1)]
-        refined = _refine_directions(signs, f[kk], act, dact, start, l1ball)
-        inner_r = np.abs((signs * act(refined @ f[kk].T)).sum(axis=1))
-        sup_inner = np.maximum(sup_inner, np.maximum(cand.max(axis=1), inner_r))
-    lhs = float(np.exp(lam * sup_inner).mean())
-    if lhs > rhs * (1.0 + 1e-9):
-        raise VerificationError(f"l1/inf contraction violated: lhs={lhs} > rhs={rhs}")
-    return lhs, rhs
+    return _check_contraction(f_values, R, lam, pool, l1ball,
+                              lambda t: np.abs(t).max(axis=2),
+                              activation, "l1/inf contraction")
 
 
 def check_union_bound(classes, A: float, m: int) -> tuple[float, float]:
@@ -596,8 +572,7 @@ def verify_cover(cover: LipschitzCover, trials: int, seed: int = 0) -> float:
     dx = np.diff(fine)
     fs = np.empty((trials, fine.size))
     for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
-        slopes = rng.choice([-1.0, 1.0], size=dx.size)
+        slopes = _rng(seed, t).choice([-1.0, 1.0], size=dx.size)
         f = np.concatenate([[0.0], np.cumsum(slopes * dx)])
         fs[t] = f - np.interp(0.0, fine, f)
     mins = np.full(trials, np.inf)

@@ -27,7 +27,7 @@ def _result(label: str, fn) -> CheckResult:
     try:
         detail = fn()
         return CheckResult(label=label, ok=True, detail=detail or "")
-    except (VerificationError, AssertionError, ValueError) as exc:
+    except (VerificationError, ValueError) as exc:
         return CheckResult(label=label, ok=False, detail=str(exc))
 
 

@@ -2,11 +2,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
-from capnet import bounds
+from capnet import bounds, matlin, verify
 from capnet.cli import main
 from capnet.network import (Dataset, load_network, profile, save_dataset,
                             save_network)
@@ -154,6 +158,24 @@ class TestLowerboundCmd:
         for row in rows[1:]:
             assert 0.2 <= float(row[6]) <= 2.0
 
+    def test_gamma_scales_values_not_ratio(self, capsys):
+        tables = {}
+        for gamma in ("1", "2"):
+            code, stdout, _ = run(["lowerbound", "--h-grid", "2,4", "--m-grid", "8",
+                                   "--p-grid", "1,2,inf", "--gamma", gamma], capsys)
+            assert code == 0
+            tables[gamma] = list(csv.reader(io.StringIO(stdout)))[1:]
+        for one, two in zip(tables["1"], tables["2"]):
+            assert two[:3] == one[:3]
+            for col in (3, 4, 5):  # diag_value, scalar_value, bound_lower
+                assert float(two[col]) == float(one[col]) / 2.0
+            assert two[6] == one[6]
+
+    def test_nonpositive_gamma_is_a_usage_error(self, capsys):
+        code, _, err = run(["lowerbound", "--h-grid", "2", "--m-grid", "8",
+                            "--p-grid", "2", "--gamma", "0"], capsys)
+        assert code == 2 and "gamma" in err
+
 
 class TestSweep:
     def test_depth_columns(self, capsys, tmp_path):
@@ -199,17 +221,58 @@ class TestVerifyCmd:
         assert code == 0 and "PASS" in stdout
 
 
-class TestWorkerCap:
-    def test_env_parsing(self, monkeypatch):
-        from capnet.cli import worker_cap
-        monkeypatch.delenv("CAPNET_THREADS", raising=False)
-        assert worker_cap() == 1
-        monkeypatch.setenv("CAPNET_THREADS", "6")
-        assert worker_cap() == 6
-        monkeypatch.setenv("CAPNET_THREADS", "0")
-        assert worker_cap() == 1
-        monkeypatch.setenv("CAPNET_THREADS", "soup")
-        assert worker_cap() == 1
+class TestSvdCount:
+    @pytest.mark.parametrize("argv,want", [
+        (["compress", "--r", "4"], 6),  # profile, rank1_approx, the certificate's directions
+        (["report"], 4),
+    ])
+    def test_one_svd_per_layer(self, argv, want, capsys, tmp_path, monkeypatch):
+        net = verify.random_net(np.random.default_rng(0), depth=4, max_width=8,
+                                scalar_output=True, input_dim=6)
+        net_path, data_path = str(tmp_path / "net.json"), str(tmp_path / "data.json")
+        save_network(net, net_path)
+        save_dataset(Dataset(points=np.random.default_rng(5).standard_normal((32, 6))),
+                     data_path)
+        calls = []
+        for name in ("svd", "singular_values"):
+            real = getattr(matlin, name)
+            monkeypatch.setattr(matlin, name,
+                                lambda w, real=real: calls.append(1) or real(w))
+        code, _, _ = run(argv + ["--network", net_path, "--data", data_path], capsys)
+        assert code == 0
+        assert len(calls) == want
+
+
+class TestOptimizedMode:
+    def test_certified_inequalities_survive_python_O(self, inputs):
+        # python -O strips assert statements; these checks must still fire
+        net_path, data_path, net, data = inputs
+        script = textwrap.dedent(f"""
+            import sys
+            from capnet import bounds, cli
+            from capnet.errors import VerificationError
+            from capnet.network import load_dataset, load_network, profile
+            assert False, "assert statements must be stripped under -O"
+            bounds.tune_r = lambda *a, **k: bounds.TuneResult(r_star=1, value=1e300)
+            data = load_dataset({data_path!r})
+            prof = profile(load_network({net_path!r}), 2.0)
+            try:
+                bounds.bound_frobenius_depth_free(prof, data.radius, data.m, 1.0)
+            except VerificationError:
+                pass
+            else:
+                sys.exit("bound_frobenius_depth_free accepted a scan above its cap")
+            sys.exit(cli.main(["report", "--network", {net_path!r},
+                               "--data", {data_path!r}]))
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(bounds.__file__))]
+            + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert "verification failed" in proc.stderr
 
 
 class TestDeterminism:

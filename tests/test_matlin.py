@@ -92,6 +92,12 @@ class TestMatrixNorm:
             f = matlin.matrix_norm(w, matlin.FROBENIUS)
             assert matlin.matrix_norm(w, matlin.schatten(2)) == pytest.approx(f, rel=1e-12)
 
+    def test_singular_norm_needs_a_spectral_kind(self):
+        s = matlin.singular_values(np.diag([3.0, 4.0]))
+        assert matlin.singular_norm(s, matlin.schatten(1)) == pytest.approx(7.0)
+        with pytest.raises(ValueError, match="singular values"):
+            matlin.singular_norm(s, matlin.FROBENIUS)
+
     def test_parameter_domain(self):
         with pytest.raises(ValueError):
             matlin.schatten(0.5)

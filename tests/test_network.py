@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capnet import matlin, verify
 from capnet.errors import ParseError, ShapeError
-from capnet.network import (Dataset, Layer, Network, dataset_from_obj,
+from capnet.network import (Dataset, Layer, Network, NormProfile, dataset_from_obj,
                             dataset_to_obj, forward, forward_batch,
                             lipschitz_product, load_network, network_from_obj,
                             network_to_obj, profile, save_network, sub_forward)
@@ -138,6 +139,56 @@ class TestProfile:
         net = make_net([np.zeros((2, 2)), np.eye(2)])
         prof = profile(net)
         assert prof.degenerate and prof.ratio_max is None
+
+    @staticmethod
+    def reference_net():
+        return verify.random_net(np.random.default_rng(0), depth=4, max_width=8,
+                                 scalar_output=True, input_dim=6)
+
+    # recorded when profile still took one SVD per norm; the shared
+    # singular values must give the same bits
+    SPECTRAL = (4.479347570897033, 4.193250087159556, 3.4324965737358815,
+                2.2881193598628533)
+    FROBENIUS = (5.585200916685899, 6.929322672401062, 5.134139485156482,
+                 2.288119359862853)
+    ROWS_L2_SUM = (14.056309799911213, 16.798863996776294, 10.926957717573549,
+                   2.288119359862853)
+    ROWS_L1_MAX = (7.177582746608005, 7.470776490112105, 6.181233862210781,
+                   4.943260676379847)
+
+    @pytest.mark.parametrize("p,schatten,schatten_product", [
+        (1.5, (6.801138253175994, 8.880299503373829, 6.236489460773552,
+               2.2881193598628533), 861.8428541071866),
+        (2.0, (5.585200916685899, 6.929322672401063, 5.134139485156481,
+               2.2881193598628533), 454.64867010981925),
+        (math.inf, SPECTRAL, 147.5211588185282),
+    ])
+    def test_golden_reference_profile(self, p, schatten, schatten_product):
+        got = profile(self.reference_net(), p)
+        want = NormProfile(
+            p=p, spectral=self.SPECTRAL, frobenius=self.FROBENIUS, schatten=schatten,
+            rows_l2_sum=self.ROWS_L2_SUM, rows_l1_max=self.ROWS_L1_MAX,
+            gamma=147.5211588185282, schatten_product=schatten_product,
+            frobenius_product=454.64867010981925, ratio_max=4.006167924068557,
+            degenerate=False,
+        )
+        assert got == want
+
+    def test_one_svd_per_layer(self, monkeypatch):
+        calls = []
+        real = matlin.singular_values
+
+        def counting(w):
+            calls.append(w.shape)
+            return real(w)
+
+        monkeypatch.setattr(matlin, "singular_values", counting)
+        monkeypatch.setattr(matlin, "svd", None)  # profile must not need the factors
+        net = self.reference_net()
+        for p in (1.5, 2.0, math.inf):
+            calls.clear()
+            profile(net, p)
+            assert calls == [l.weight.shape for l in net.layers]
 
 
 class TestValidation:

@@ -65,6 +65,16 @@ class TestSupAscent:
         val, _ = rademacher.sup_ascent(eps, spec, data, restarts=2, steps=30, seed=0)
         assert val == 0.0
 
+    def test_frozen_class_without_restarts_rejected(self):
+        tpl = Network(layers=(Layer(np.ones((1, 2)), None),), input_dim=2)
+        spec = rademacher.ClassSpec(template=tpl, constraints=((),), trainable=(False,))
+        data = Dataset(points=np.eye(2))
+        eps = np.array([1.0, -1.0])
+        with pytest.raises(ValueError, match="no trainable layer"):
+            rademacher.sup_ascent(eps, spec, data, restarts=0, steps=5)
+        val, _ = rademacher.sup_ascent(eps, spec, data, restarts=1, steps=5)
+        assert val == 0.0
+
     def test_row_l1_class_recovers_max_coordinate(self, rng):
         data = Dataset(points=rng.standard_normal((8, 4)))
         spec = linear_spec(4, radius=1.5, kind=matlin.ROWS_L1_MAX)
@@ -286,6 +296,29 @@ class TestContraction:
     def test_enumeration_cap(self):
         with pytest.raises(ValueError):
             rademacher.check_contraction_frobenius(np.zeros((1, 15, 2)), 1.0, 0.5)
+
+    # (lhs, rhs) recorded from the two separate harnesses the shared one
+    # replaced; f = default_rng(seed).standard_normal(shape), 32 directions
+    @pytest.mark.parametrize("name,seed,activation,shape,R,lam,want", [
+        ("frobenius", 0, "relu", (2, 6, 3), 1.3, 0.5,
+         (9.974427897826025, 32.21484785436192)),
+        ("frobenius", 1, "identity", (3, 5, 2), 0.8, 0.7,
+         (10.230005290033922, 20.460010745642656)),
+        ("frobenius", 2, "relu", (1, 7, 3), 1.7, 0.3,
+         (7.1397479819626355, 17.456183478978332)),
+        ("l1inf", 3, "relu", (2, 6, 3), 1.3, 0.5,
+         (20.721603653258484, 87.47217841443191)),
+        ("l1inf", 4, "identity", (3, 5, 2), 0.8, 0.7,
+         (13.21478325544701, 26.42956651089402)),
+        ("l1inf", 5, "clip1", (1, 7, 3), 1.7, 0.3,
+         (3.486260253266397, 14.265970063715937)),
+    ])
+    def test_golden_values(self, name, seed, activation, shape, R, lam, want):
+        f = np.random.default_rng(seed).standard_normal(shape)
+        check = getattr(rademacher, f"check_contraction_{name}")
+        got = check(f, R=R, lam=lam, direction_samples=32, seed=seed,
+                    activation=activation)
+        assert got == want
 
 
 class TestUnionBound:
