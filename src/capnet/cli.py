@@ -1,8 +1,9 @@
 """Command-line surface: bound reports, compression, estimation, demos, suites.
 
 Exit codes: 0 success, 1 usage, 2 parse/shape error, 3 verification failure,
-4 numerical failure.  All commands run on a single worker and are
-deterministic for a fixed RunConfig (including the seed).
+4 numerical failure.  Each subcommand accepts only the flags it reads; any
+other flag is a usage error.  All commands run on a single worker and are
+deterministic for fixed flags (including the seed).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,26 +25,11 @@ from .network import (Dataset, Layer, Network, _rng, _save, load_dataset,
 _FMT = bounds._fmt
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved options for one CLI invocation (defaults are printed in
-    report headers so no run is ambiguous)."""
-
-    command: str
-    p: float = 2.0
-    gamma: float = 1.0
-    r: int | None = None
-    seed: int = 42
-    samples: int = 0
-    restarts: int = 8
-    steps: int = 500
-    fmt: str = "table"
-    B: float | None = None
-    override_gamma: float | None = None
-    override_m: float | None = None
-
-
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kw):
+        # no prefix matching: `sweep --p 3` must not mean `--product 3`
+        super().__init__(allow_abbrev=False, **kw)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -88,55 +73,57 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
+# the shared flags; each subcommand declares the ones it reads
+_FLAGS = {
+    "--network": dict(required=True, help="network JSON file"),
+    "--data": dict(help="dataset JSON file"),
+    "--p": dict(type=_parse_p, default=2.0,
+                help="Schatten exponent in [1, 64] or inf (default 2)"),
+    "--gamma": dict(type=float, default=1.0, help="margin parameter"),
+    "--gamma-cap": dict(type=float, default=None, help="upper cap applied to gamma"),
+    "--seed": dict(type=int, default=42),
+    "--samples": dict(type=int, default=None),
+    "--restarts": dict(type=int, default=8),
+    "--steps": dict(type=int, default=500),
+    "--format": dict(dest="fmt", choices=("table", "structured", "csv"), default="table"),
+    "--out": dict(default=None, help="output file (default stdout)"),
+    "--override-Gamma": dict(dest="override_gamma", type=float, default=None,
+                             help="what-if spectral-norm product"),
+    "--override-M": dict(dest="override_m", type=float, default=None,
+                         help="what-if Schatten-norm product"),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="capnet", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, network=False, data=False):
-        if network:
-            sp.add_argument("--network", required=True, help="network JSON file")
-        if data:
-            sp.add_argument("--data", help="dataset JSON file")
-        sp.add_argument("--p", type=_parse_p, default=2.0,
-                        help="Schatten exponent in [1, 64] or inf (default 2)")
-        sp.add_argument("--gamma", type=float, default=1.0, help="margin parameter")
-        sp.add_argument("--gamma-cap", type=float, default=None,
-                        help="upper cap applied to gamma")
-        sp.add_argument("--seed", type=int, default=42)
-        sp.add_argument("--samples", type=int, default=None)
-        sp.add_argument("--restarts", type=int, default=8)
-        sp.add_argument("--steps", type=int, default=500)
-        sp.add_argument("--format", dest="fmt", choices=("table", "structured", "csv"),
-                        default="table")
-        sp.add_argument("--out", default=None, help="output file (default stdout)")
-        sp.add_argument("--override-Gamma", dest="override_gamma", type=float, default=None,
-                        help="what-if spectral-norm product")
-        sp.add_argument("--override-M", dest="override_m", type=float, default=None,
-                        help="what-if Schatten-norm product")
+    def command(name, func, flags, help):
+        sp = sub.add_parser(name, help=help)
+        for flag in flags.split():
+            sp.add_argument(flag, **_FLAGS[flag])
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("report", help="evaluate every applicable bound")
-    common(sp, network=True, data=True)
-    sp.set_defaults(func=cmd_report)
+    command("report", cmd_report, "--network --data --p --gamma --gamma-cap --seed "
+            "--format --out --override-Gamma --override-M", "evaluate every applicable bound")
 
-    sp = sub.add_parser("compress", help="rank-1 layer replacement with certificate")
-    common(sp, network=True, data=True)
+    sp = command("compress", cmd_compress, "--network --data --p --seed --samples --out "
+                 "--override-Gamma --override-M", "rank-1 layer replacement with certificate")
     sp.add_argument("--r", type=int, required=True, help="replacement depth budget")
     sp.add_argument("--B", type=float, default=None, help="domain radius when no dataset")
-    sp.set_defaults(func=cmd_compress)
 
-    sp = sub.add_parser("rademacher", help="Monte Carlo complexity of the norm-ball class")
-    common(sp, network=True, data=True)
-    sp.set_defaults(func=cmd_rademacher)
+    command("rademacher", cmd_rademacher, "--network --data --p --seed --samples --restarts "
+            "--steps --format --out", "Monte Carlo complexity of the norm-ball class")
 
-    sp = sub.add_parser("lowerbound", help="construction-vs-floor ratio table (CSV)")
-    common(sp)
+    sp = command("lowerbound", cmd_lowerbound, "--gamma --gamma-cap --seed --samples --out",
+                 "construction-vs-floor ratio table (CSV)")
     sp.add_argument("--h-grid", type=_int_list, default=[2, 4, 8])
     sp.add_argument("--m-grid", type=_int_list, default=[8, 16])
     sp.add_argument("--p-grid", type=_float_list, default=[1.0, 2.0, math.inf])
-    sp.set_defaults(func=cmd_lowerbound)
 
-    sp = sub.add_parser("sweep", help="depth sweep with pinned norm products (CSV)")
-    common(sp, network=False, data=True)
+    sp = command("sweep", cmd_sweep, "--data --gamma --gamma-cap --seed --samples --restarts "
+                 "--steps --out", "depth sweep with pinned norm products (CSV)")
     sp.add_argument("--depths", type=_int_list, default=list(range(2, 65)))
     sp.add_argument("--family", choices=("ultrathin", "random"), default="ultrathin")
     sp.add_argument("--product", type=float, default=1.0,
@@ -144,40 +131,29 @@ def build_parser() -> _Parser:
     sp.add_argument("--m", type=int, default=16, help="synthesised sample count")
     sp.add_argument("--B", type=float, default=1.0, help="synthesised data radius")
     sp.add_argument("--dim", type=int, default=4, help="synthesised input dimension")
-    sp.set_defaults(func=cmd_sweep)
 
-    sp = sub.add_parser("verify", help="run property suites")
+    sp = command("verify", cmd_verify, "", "run property suites")
     sp.add_argument("--suite", choices=tuple(verify.SUITES) + ("all",), default="all")
-    sp.set_defaults(func=cmd_verify)
     return parser
 
 
-def _config(args, command: str) -> RunConfig:
-    gamma = args.gamma
-    if getattr(args, "gamma_cap", None) is not None:
-        gamma = min(gamma, args.gamma_cap)
-    return RunConfig(
-        command=command, p=args.p, gamma=gamma, r=getattr(args, "r", None),
-        seed=args.seed, samples=args.samples if args.samples is not None else 0,
-        restarts=args.restarts, steps=args.steps, fmt=args.fmt,
-        B=getattr(args, "B", None),
-        override_gamma=args.override_gamma, override_m=args.override_m,
-    )
+def _gamma(args) -> float:
+    return args.gamma if args.gamma_cap is None else min(args.gamma, args.gamma_cap)
 
 
 def cmd_report(args) -> int:
-    cfg = _config(args, "report")
     if not args.data:
         raise ParseError("report requires --data")
     net = load_network(args.network)
     data = load_dataset(args.data)
-    report = bounds.report_for(net, data, p=cfg.p, gamma=cfg.gamma,
-                               gamma_override=cfg.override_gamma,
-                               schatten_override=cfg.override_m)
-    if cfg.fmt == "table":
-        text = f"# defaults: p={_FMT(cfg.p)} gamma={_FMT(cfg.gamma)} seed={cfg.seed}\n" \
+    gamma = _gamma(args)
+    report = bounds.report_for(net, data, p=args.p, gamma=gamma,
+                               gamma_override=args.override_gamma,
+                               schatten_override=args.override_m)
+    if args.fmt == "table":
+        text = f"# defaults: p={_FMT(args.p)} gamma={_FMT(gamma)} seed={args.seed}\n" \
             + report.render_table()
-    elif cfg.fmt == "structured":
+    elif args.fmt == "structured":
         text = report.render_structured()
     else:
         text = report.render_csv()
@@ -186,31 +162,30 @@ def cmd_report(args) -> int:
 
 
 def cmd_compress(args) -> int:
-    cfg = _config(args, "compress")
     net = load_network(args.network)
     if args.data:
         B = load_dataset(args.data).radius
         b_source = "dataset"
-    elif cfg.B is not None:
-        B = cfg.B
+    elif args.B is not None:
+        B = args.B
         b_source = "user"
     else:
         raise ParseError("compress needs --data or --B for the domain radius")
-    if math.isinf(cfg.p):
+    if math.isinf(args.p):
         raise ParseError("compress needs a finite Schatten exponent")
     compressed, cert = compress.rank1_replace(
-        net, p=cfg.p, r=cfg.r, B=B,
-        gamma_override=cfg.override_gamma, schatten_override=cfg.override_m,
+        net, p=args.p, r=args.r, B=B,
+        gamma_override=args.override_gamma, schatten_override=args.override_m,
     )
-    samples = cfg.samples or 1000
+    samples = args.samples or 1000
     observed = compress.verify_certificate(net, compressed, cert, B=B,
-                                           samples=samples, seed=cfg.seed)
+                                           samples=samples, seed=args.seed)
     lines = [
         f"replaced layer {cert.r_prime} of {net.depth} (requested r={cert.r_requested})",
         f"degenerate_zero={str(cert.degenerate_zero).lower()} B={_FMT(B)} ({b_source})",
         f"lemma_bound={_FMT(cert.lemma_bound)}",
         f"theorem_bound={_FMT(cert.theorem_bound)}",
-        f"observed_deviation={_FMT(observed)} ({samples} samples, seed {cfg.seed})",
+        f"observed_deviation={_FMT(observed)} ({samples} samples, seed {args.seed})",
     ]
     if args.out:
         save_network(compressed, args.out)
@@ -233,22 +208,21 @@ def _ball_class(net: Network, p: float) -> rademacher.ClassSpec:
 
 
 def cmd_rademacher(args) -> int:
-    cfg = _config(args, "rademacher")
     if not args.data:
         raise ParseError("rademacher requires --data")
     net = load_network(args.network)
     data = load_dataset(args.data)
-    spec = _ball_class(net, cfg.p)
-    est = rademacher.mc_rademacher(spec, data, epsilon_samples=cfg.samples or 32,
-                                   restarts=cfg.restarts, steps=cfg.steps, seed=cfg.seed)
+    spec = _ball_class(net, args.p)
+    est = rademacher.mc_rademacher(spec, data, epsilon_samples=args.samples or 32,
+                                   restarts=args.restarts, steps=args.steps, seed=args.seed)
     obj = {
         "value": est.value, "method": est.method, "epsilon_samples": est.epsilon_samples,
         "sup_restarts": est.sup_restarts, "sup_steps": est.sup_steps,
-        "std_error": est.std_error, "seed": est.seed, "p": cfg.p,
+        "std_error": est.std_error, "seed": est.seed, "p": args.p,
     }
-    if cfg.fmt == "structured":
+    if args.fmt == "structured":
         text = json.dumps(obj, indent=1) + "\n"
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         text = _csv_text(list(obj), [list(obj.values())])
     else:
         text = "".join(f"{k}: {_FMT(v) if isinstance(v, float) else v}\n"
@@ -258,10 +232,9 @@ def cmd_rademacher(args) -> int:
 
 
 def cmd_lowerbound(args) -> int:
-    cfg = _config(args, "lowerbound")
     rows = lowerbound.demonstrate_lower_bound(
         h_grid=args.h_grid, m_grid=args.m_grid, p_grid=args.p_grid,
-        seed=cfg.seed, gamma=cfg.gamma, samples=cfg.samples,
+        seed=args.seed, gamma=_gamma(args), samples=args.samples or 0,
     )
     header = ["h", "m", "p", "diag_value", "scalar_value", "bound_lower", "ratio"]
     text = _csv_text(header, [[r["h"], r["m"], _FMT(r["p"]), r["diag_value"],
@@ -297,36 +270,35 @@ def _random_family(depth: int, dim: int, product: float, seed: int) -> Network:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _config(args, "sweep")
     if any(d < 1 for d in args.depths):
         raise ParseError("depths must be positive")
     if args.data:
         data = load_dataset(args.data)
     else:
-        data = Dataset(points=args.B * sphere_points(args.dim, args.m, cfg.seed, (2,)))
+        data = Dataset(points=args.B * sphere_points(args.dim, args.m, args.seed, (2,)))
     B, m = data.radius, data.m
     rows = []
     active_plateau = []
     for d in args.depths:
         if args.family == "ultrathin":
-            net = _ultrathin(d, data.dim, args.product, cfg.seed)
+            net = _ultrathin(d, data.dim, args.product, args.seed)
         else:
-            net = _random_family(d, data.dim, args.product, cfg.seed)
+            net = _random_family(d, data.dim, args.product, args.seed)
         prof = profile(net, 2.0)
         ney = bounds.bound_frobenius_exp_depth(prof, B, m)
         sqd = bounds.bound_frobenius_sqrt_depth(prof, data)
-        free = bounds.bound_frobenius_depth_free(prof, B, m, cfg.gamma)
+        free = bounds.bound_frobenius_depth_free(prof, B, m, _gamma(args))
         first = bounds.logbar(m) ** 0.75 * math.sqrt(
             bounds.logbar(prof.frobenius_product / prof.gamma)) / m ** 0.25
         second = math.sqrt(d / m)
         if args.family == "ultrathin" and first < second:
             active_plateau.append(free)
         mc_val, mc_err = "", ""
-        if cfg.samples:
+        if args.samples:
             spec = _ball_class(net, 2.0)
-            est = rademacher.mc_rademacher(spec, data, epsilon_samples=cfg.samples,
-                                           restarts=cfg.restarts, steps=cfg.steps,
-                                           seed=cfg.seed)
+            est = rademacher.mc_rademacher(spec, data, epsilon_samples=args.samples,
+                                           restarts=args.restarts, steps=args.steps,
+                                           seed=args.seed)
             mc_val, mc_err = est.value, est.std_error
         rows.append([d, ney, sqd, free, mc_val, mc_err])
     if active_plateau and max(active_plateau) - min(active_plateau) >= 1e-9:

@@ -17,6 +17,7 @@ from .errors import NumericalError
 
 MAX_SIDE = 1024        # documented working range for svd()
 MAX_SCHATTEN_P = 64.0  # beyond this the Schatten norm is numerically spectral
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def as_matrix(entries, rows: int | None = None, cols: int | None = None) -> np.ndarray:
@@ -261,12 +262,91 @@ def _lp_shrink(a: np.ndarray, p: float, lam: float) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
+def _lp_slope(x: np.ndarray, p: float, lam: float, phi: float) -> float:
+    """-d||x(lam)||_p / dlam at the shrink x = x(lam), whose norm is phi.
+
+    Uses the implicit derivative dx/dlam = -p x^(p-1) / (1 + lam p (p-1) x^(p-2)),
+    written as -p x / (x^(2-p) + lam p (p-1)) so that no power overflows.
+    """
+    x = x[x > 0]
+    with np.errstate(over="ignore", divide="ignore"):
+        dx = p * x / (x ** (2.0 - p) + lam * p * (p - 1.0))
+    return float(np.sum((x / phi) ** (p - 1.0) * dx))
+
+
+def _lp_multiplier(a: np.ndarray, p: float, radius: float) -> tuple[float, float]:
+    """The multiplier lam* at which the shrink of a (a >= 0, outside the
+    ball) reaches the l_p sphere, and the half-width of a band around lam*
+    outside which the computed test ||shrink(a, lam)||_p > radius is certain.
+
+    The computed norm of a shrink is within err of the exact one: the inner
+    solve stops within 1e-13*scale of the root in every coordinate, one
+    coordinate moves the norm by at most as much, and rounding adds a few
+    ulps per coordinate.  err divided by the norm's slope at lam* bounds how
+    far from lam* the test can answer wrongly; the band is four times that.
+
+    lam* comes in closed form at p = 2 and otherwise from Newton on
+    (||x(lam)||_p / radius)^(1-p) - 1, which is linear in lam at p = 2 and
+    for large lam, safeguarded by bisection inside [0, lam_cap], where every
+    coordinate's cap (a / (lam p))^(1/(p-1)) already lies on the sphere.
+    Returns (nan, nan) when lam_cap overflows or Newton does not converge.
+    """
+    top = float(a.max())
+    err = a.size * (1e-13 * max(1.0, top) + 8.0 * _EPS * radius)
+    if p == 2.0:
+        # ||x(lam)||_2 = ||a||_2 / (1 + 2 lam), of slope 2 radius / (1 + 2 lam*) at lam*
+        lam = 0.5 * (_lp_vec_norm(a, 2.0) / radius - 1.0)
+        return lam, 2.0 * err * (1.0 + 2.0 * lam) / radius
+    log_cap = math.log(top / p) + (p - 1.0) * math.log(
+        _lp_vec_norm((a / top) ** (1.0 / (p - 1.0)), p) / radius)
+    if not log_cap < 709.0:
+        return math.nan, math.nan
+    lo, hi = 0.0, math.exp(log_cap)
+    lam, x = 0.0, a
+    for _ in range(60):
+        phi = _lp_vec_norm(x, p)
+        if phi > radius:
+            lo = lam
+        else:
+            hi = lam
+        slope = _lp_slope(x, p, lam, phi)
+        nxt = math.nan
+        if 0.0 < slope < math.inf:
+            ratio = phi / radius
+            step = radius * ratio * math.expm1(min(709.0, (p - 1.0) * math.log(ratio))) \
+                / ((p - 1.0) * slope)
+            band = 4.0 * err / slope
+            if abs(step) <= band / 8.0:
+                return lam + step, band
+            nxt = lam + step
+        lam = nxt if lo < nxt <= hi else 0.5 * (lo + hi)
+        x = _lp_shrink(a, p, lam)
+    return math.nan, math.nan
+
+
 def project_lp_ball(v, p: float, radius: float) -> np.ndarray:
     """Project a vector onto the l_p ball, 1 <= p <= MAX_SCHATTEN_P.
 
-    p = 1 uses the sorted-threshold rule; general p runs an outer bisection
-    on the Lagrange multiplier (tolerance 1e-10) with a per-coordinate
-    Newton inner solve.
+    p = 1 uses the sorted-threshold rule.  General p bisects the Lagrange
+    multiplier lam of the coordinate-wise shrink x + lam*p*x^(p-1) = |v|
+    (bracket [0, max|v|/p] widened by doubling, at most 200 steps,
+    tolerance 1e-10) and returns the shrink at the final bracket's top.
+
+    Each bisection step only learns whether the shrink at its midpoint lies
+    outside the ball, so the bisection is replayed from the multiplier lam*
+    solved directly (:func:`_lp_multiplier`): a midpoint outside the band
+    around lam* is answered by its side of lam*, one inside it evaluates the
+    shrink.  The replay checks itself: the shrink at the final bracket's
+    bottom (when above 0) must lie outside the ball and the one at its top
+    inside.  Outside the band the test is monotone in lam, so one wrong
+    answer shows at one of the two ends; the bisection then runs again with
+    every step evaluated.  Either way the result is the evaluated
+    bisection's, bit for bit.
+
+    When the multiplier overflows (large p, radius far below |v|) the
+    shrink comes out nan; the problem for v / radius on the unit ball, whose
+    multiplier is radius^(p-2) times smaller, is then solved and scaled back.
+    A nan there raises :class:`NumericalError`.
     """
     _check_schatten_p(p)
     if p == 1.0:
@@ -275,49 +355,80 @@ def project_lp_ball(v, p: float, radius: float) -> np.ndarray:
     a = np.abs(v)
     if _lp_vec_norm(a, p) <= radius:
         return v.copy()
-    lo, hi = 0.0, float(a.max()) / p
-    # the textbook bracket max(a)/p can undershoot for p > 1; widen until feasible
-    while _lp_vec_norm(_lp_shrink(a, p, hi), p) > radius:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _lp_vec_norm(_lp_shrink(a, p, mid), p) > radius:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-10 * max(1.0, hi):
-            break
-    return np.sign(v) * _lp_shrink(a, p, hi)
+
+    def outside(lam):
+        return _lp_vec_norm(_lp_shrink(a, p, lam), p) > radius
+
+    def bisect(pred):
+        lo, hi = 0.0, float(a.max()) / p
+        # the textbook bracket max(a)/p can undershoot for p > 1; widen until feasible
+        while pred(hi):
+            hi *= 2.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if pred(mid):
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= 1e-10 * max(1.0, hi):
+                break
+        return lo, hi
+
+    # (a nan lam* answers every step "inside" and is judged by the same check)
+    star, band = _lp_multiplier(a, p, radius)
+    lo, hi = bisect(lambda lam: outside(lam) if abs(lam - star) <= band else lam < star)
+    x = _lp_shrink(a, p, hi)
+    if not ((lo == 0.0 or outside(lo)) and _lp_vec_norm(x, p) <= radius):
+        with np.errstate(over="ignore", invalid="ignore"):  # nan is handled below
+            lo, hi = bisect(outside)
+            x = _lp_shrink(a, p, hi)
+        if not np.isfinite(x).all():
+            if radius == 1.0:
+                raise NumericalError(f"l_{p:g}-ball projection overflowed its multiplier")
+            return radius * project_lp_ball(v / radius, p, 1.0)
+    return np.sign(v) * x
 
 
 def project_to_ball(w, c: BallConstraint) -> np.ndarray:
     """Euclidean (Frobenius-distance) projection of w onto the ball c.
 
-    An input already inside the ball is returned unchanged.  Spectral and
-    Schatten balls project the singular-value vector and reconstruct with
-    the input's singular vectors; row-structured balls project each row
-    independently.
+    Norms are compared with ``radius * (1 + 1e-12)``: an input within it is
+    returned unchanged, and the result lies within it.  Spectral and
+    Schatten balls take one SVD for the norm check and the projection: they
+    project the singular-value vector, whose norm stands for the result's,
+    and reconstruct with the input's singular vectors.  Row-structured balls
+    project each row independently.
     """
     w = as_matrix(w)
     kind = c.kind
-    if matrix_norm(w, kind) <= c.radius:
-        return w
-    if kind.tag == "frobenius":
-        return w * (c.radius / float(np.linalg.norm(w)))
-    if kind.tag == "spectral":
+    limit = c.radius * (1.0 + 1e-12)
+    if kind.tag in ("spectral", "schatten"):
         r = svd(w)
-        return (r.left * np.minimum(r.singular, c.radius)) @ r.right.T
-    if kind.tag == "schatten":
-        r = svd(w)
-        return (r.left * project_lp_ball(r.singular, kind.p, c.radius)) @ r.right.T
-    if kind.tag == "rows_l1_max":
-        return np.vstack([project_l1_ball(row, c.radius)[None, :] for row in w])
-    if kind.tag == "rows_l2_sum":
-        norms = np.sqrt((w * w).sum(axis=1))
-        shrunk = project_l1_ball(norms, c.radius)
-        scale = np.divide(shrunk, norms, out=np.zeros_like(norms), where=norms > 0)
-        return w * scale[:, None]
-    raise ValueError(f"unknown norm tag {kind.tag!r}")
+        if singular_norm(r.singular, kind) <= limit:
+            return w
+        if kind.tag == "spectral":
+            s = np.minimum(r.singular, c.radius)
+        else:
+            s = project_lp_ball(r.singular, kind.p, c.radius)
+        out, norm = (r.left * s) @ r.right.T, singular_norm(s, kind)
+    else:
+        if matrix_norm(w, kind) <= limit:
+            return w
+        if kind.tag == "frobenius":
+            out = w * (c.radius / float(np.linalg.norm(w)))
+        elif kind.tag == "rows_l1_max":
+            out = np.vstack([project_l1_ball(row, c.radius)[None, :] for row in w])
+        elif kind.tag == "rows_l2_sum":
+            norms = np.sqrt((w * w).sum(axis=1))
+            shrunk = project_l1_ball(norms, c.radius)
+            scale = np.divide(shrunk, norms, out=np.zeros_like(norms), where=norms > 0)
+            out = w * scale[:, None]
+        else:
+            raise ValueError(f"unknown norm tag {kind.tag!r}")
+        norm = matrix_norm(out, kind)
+    # the l1-type projections (Schatten-1 and the row norms) overshoot by about
+    # size * eps times the input's norm, which far outside exceeds the limit
+    return out if norm <= limit else project_to_ball(out, c)
 
 
 def linear_maximizer(g, c: BallConstraint) -> np.ndarray:

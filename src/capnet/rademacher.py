@@ -165,21 +165,25 @@ def _backward(weights, acts, inputs, preacts, g_out):
 
 
 def _enforce(w, constraints, mask):
-    """Cyclic projection onto all of the layer's balls (and its mask).
+    """Projection onto all of the layer's balls (and its mask).
 
-    A final uniform scale-down guarantees strict feasibility even when the
-    alternating passes have not fully converged, so every candidate the
-    ascent evaluates really is in the class.
+    A single ball without a mask takes one projection, which shares its SVD
+    with the norm check and lands in the ball.  Masking can raise a Schatten
+    norm, so other layers cycle through their balls until a pass changes
+    nothing; a final uniform scale-down guarantees strict feasibility even
+    when the alternating passes have not fully converged, so every candidate
+    the ascent evaluates really is in the class.
     """
+    if mask is None and len(constraints) == 1:
+        return matlin.project_to_ball(w, constraints[0])
     if mask is not None:
         w = w * mask
     for _ in range(8):
         ok = True
         for c in constraints:
-            if matlin.matrix_norm(w, c.kind) > c.radius * (1.0 + 1e-12):
-                w = matlin.project_to_ball(w, c)
-                if mask is not None:
-                    w = w * mask
+            out = matlin.project_to_ball(w, c)
+            if out is not w:
+                w = out if mask is None else out * mask
                 ok = False
         if ok:
             return w

@@ -103,3 +103,34 @@ def projection_via_slsqp(v: np.ndarray, norm_fn, radius: float) -> np.ndarray:
         options={"maxiter": 400, "ftol": 1e-14},
     )
     return res.x
+
+
+def project_lp_ball_bisection(v, p: float, radius: float) -> np.ndarray:
+    """The l_p-ball projection as a plain bisection on the Lagrange multiplier.
+
+    This was ``matlin.project_lp_ball`` before the bisection was replayed
+    from a solved multiplier, kept verbatim (it shares the library's inner
+    solve ``_lp_shrink``); the library's result must equal it bit for bit.
+    """
+    from capnet.matlin import _check_schatten_p, _lp_shrink, _lp_vec_norm, project_l1_ball
+
+    _check_schatten_p(p)
+    if p == 1.0:
+        return project_l1_ball(v, radius)
+    v = np.asarray(v, dtype=np.float64)
+    a = np.abs(v)
+    if _lp_vec_norm(a, p) <= radius:
+        return v.copy()
+    lo, hi = 0.0, float(a.max()) / p
+    # the textbook bracket max(a)/p can undershoot for p > 1; widen until feasible
+    while _lp_vec_norm(_lp_shrink(a, p, hi), p) > radius:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if _lp_vec_norm(_lp_shrink(a, p, mid), p) > radius:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-10 * max(1.0, hi):
+            break
+    return np.sign(v) * _lp_shrink(a, p, hi)

@@ -1,0 +1,69 @@
+"""The ascent commands of the benchmark print exactly their recorded bytes.
+
+The benchmark under ``perfbench/`` fails a run whose ``rademacher`` output
+moved at all; this test catches such a move in the suite.  It only reads
+``perfbench/`` (the input generator, the workload definitions and the
+recorded references) and writes its input files under pytest's tmp_path.
+"""
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import os
+import sys
+
+import pytest
+
+from capnet import cli
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+
+
+def _load(name):
+    """Import perfbench/<name>.py without writing a bytecode cache there."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  os.path.join(PERFBENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+@pytest.mark.parametrize("workload", ["ascent-schatten", "ascent-cheap-ball"])
+@pytest.mark.parametrize("entry", [0, 1])
+def test_rademacher_bytes_match_references(workload, entry, tmp_path):
+    inputs, workloads = _load("inputs"), _load("workloads")
+    with open(os.path.join(PERFBENCH, "references.json"), encoding="utf-8") as fh:
+        refs = json.load(fh)[workload][str(entry)]
+    net, data, seed = inputs.generate(entry)
+    paths = []
+    for name, obj in (("net.json", net), ("data.json", data)):
+        paths.append(str(tmp_path / name))
+        with open(paths[-1], "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+            fh.write("\n")
+    cmds = workloads.commands(workload, *paths, seed, str(tmp_path))
+    assert cmds and all(cmd.argv[0] == "rademacher" for cmd in cmds)
+    for cmd in cmds:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(list(cmd.argv)) == 0
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        assert digest == refs[cmd.label]["sha256"], (cmd.label, out.getvalue())
+
+
+@pytest.mark.parametrize("workload", ["ascent-schatten", "ascent-cheap-ball", "analysis"])
+def test_every_benchmark_flag_is_accepted(workload, tmp_path):
+    workloads = _load("workloads")
+    parser = cli.build_parser()
+    cmds = workloads.commands(workload, "net.json", "data.json", 7, str(tmp_path))
+    cmds += workloads.probe(workload, "net.json", "data.json", 7)
+    for cmd in cmds:
+        parser.parse_args(list(cmd.argv))  # exits on a flag the subcommand lacks

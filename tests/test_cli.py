@@ -243,6 +243,28 @@ class TestSvdCount:
         assert len(calls) == want
 
 
+class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ["lowerbound", "--override-Gamma", "3"],
+        ["lowerbound", "--restarts", "9"],
+        ["lowerbound", "--format", "structured"],
+        ["report", "--samples", "5"],
+        ["report", "--steps", "2"],
+        ["compress", "--r", "2", "--format", "csv"],
+        ["rademacher", "--gamma", "2"],
+        ["sweep", "--p", "3"],
+        ["verify", "--seed", "1"],
+    ])
+    def test_flag_a_subcommand_ignores_is_a_usage_error(self, argv, inputs, capsys):
+        net_path, data_path, _, _ = inputs
+        paths = {"report": ["--network", net_path, "--data", data_path],
+                 "compress": ["--network", net_path, "--data", data_path],
+                 "rademacher": ["--network", net_path, "--data", data_path]}
+        code, out, err = run(argv[:1] + paths.get(argv[0], []) + argv[1:], capsys)
+        assert code == 1 and not out
+        assert "unrecognized arguments" in err
+
+
 class TestOptimizedMode:
     def test_certified_inequalities_survive_python_O(self, inputs):
         # python -O strips assert statements; these checks must still fire

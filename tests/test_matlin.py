@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from capnet import matlin
-from oracles import (nearest_in_ball_grid, projection_via_slsqp,
-                     singular_values_via_gram)
+from oracles import (nearest_in_ball_grid, project_lp_ball_bisection,
+                     projection_via_slsqp, singular_values_via_gram)
 
 small_matrices = arrays(
     np.float64, st.tuples(st.integers(1, 5), st.integers(1, 5)),
@@ -264,3 +265,80 @@ class TestProjection:
                 continue
             out = matlin.project_lp_ball(v, p, 1.0)
             assert matlin._lp_vec_norm(np.abs(out), p) == pytest.approx(1.0, abs=5e-9)
+
+    @pytest.mark.parametrize("p", [32.0, 63.9, 64.0])
+    def test_overflowing_multiplier_still_lands_on_boundary(self, p):
+        # the multiplier for these inputs exceeds the float range at large p,
+        # which once made every coordinate nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = matlin.project_lp_ball(np.array([0.00073198]), p, 1.25e-06)
+            mat = matlin.project_to_ball(
+                np.diag([2e-3, 1e-3]), matlin.BallConstraint(matlin.schatten(p), 1e-6))
+        assert np.isfinite(out).all() and np.isfinite(mat).all()
+        assert matlin._lp_vec_norm(np.abs(out), p) == pytest.approx(1.25e-06, rel=5e-9)
+        assert matlin.matrix_norm(mat, matlin.schatten(p)) == pytest.approx(1e-6, rel=5e-9)
+
+
+def _lp_cases(seed, count):
+    """Exterior points: p in [1.01, 64], 1-8 coordinates of magnitude
+    1e-3..1e3 (some zero), radius 1e-3..(1 - 1e-7) times the point's norm."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < count:
+        p = float(np.exp(rng.uniform(math.log(1.01), math.log(64.0))))
+        d = int(rng.integers(1, 9))
+        v = rng.standard_normal(d) * np.exp(rng.uniform(math.log(1e-3), math.log(1e3), d))
+        v[rng.random(d) < 0.2] = 0.0
+        if not v.any():
+            continue
+        ratio = 1.0 - math.exp(rng.uniform(math.log(1e-7), math.log(1.0 - 1e-3)))
+        cases.append((v, p, matlin._lp_vec_norm(np.abs(v), p) * ratio))
+    return cases
+
+
+class TestReplayedLpProjection:
+    """project_lp_ball replays the multiplier bisection from a solved
+    multiplier; its result must be the plain bisection's, bit for bit."""
+
+    def test_bit_identical_to_bisection_oracle(self):
+        compared = 0
+        ends = [(v, p, r) for v, _, r in _lp_cases(7, 30) for p in (1.01, 2.0, 64.0)]
+        for v, p, radius in _lp_cases(2024, 400) + ends:
+            ref = project_lp_ball_bisection(v, p, radius)
+            if not np.isfinite(ref).all():
+                continue  # the multiplier overflowed, where the bisection returned nan
+            assert np.array_equal(matlin.project_lp_ball(v, p, radius), ref), (v, p, radius)
+            compared += 1
+        assert compared >= 450
+
+    @pytest.mark.parametrize("wrong,falls_back", [
+        # near misses may still lead the replay to the evaluated bracket
+        (lambda star, band: (star * (1.0 + 1e-6), band), False),
+        (lambda star, band: (star + 3.0 * band, band), False),
+        (lambda star, band: (math.nan, math.nan), False),
+        # misses by far more than the band and the bisection's tolerance cannot
+        (lambda star, band: (star + band + 1e-6 * max(1.0, star), band), True),
+        (lambda star, band: (star - band - 1e-6 * max(1.0, star), band), True),
+        (lambda star, band: (2.0 * star + band + 1e-6, band), True),
+    ])
+    def test_wrong_multiplier_falls_back_to_identical_bits(self, monkeypatch, wrong,
+                                                           falls_back):
+        real = matlin._lp_multiplier
+        monkeypatch.setattr(matlin, "_lp_multiplier", lambda a, p, r: wrong(*real(a, p, r)))
+        shrink, calls = matlin._lp_shrink, []
+        monkeypatch.setattr(matlin, "_lp_shrink",
+                            lambda *args: calls.append(1) or shrink(*args))
+        fallbacks, expected = 0, 0
+        for v, p, radius in _lp_cases(99, 60):
+            # a multiplier within the tolerance of 0 leaves nothing to get wrong
+            expected += falls_back and real(np.abs(v), p, radius)[0] > 1e-8
+            del calls[:]
+            ref = project_lp_ball_bisection(v, p, radius)
+            evaluated = len(calls)
+            del calls[:]
+            assert np.array_equal(matlin.project_lp_ball(v, p, radius), ref), (v, p, radius)
+            # the evaluated bisection took `evaluated` solves; a fallback repeats them all
+            fallbacks += len(calls) > evaluated
+            del calls[:]
+        assert fallbacks >= expected >= (20 if falls_back else 0)

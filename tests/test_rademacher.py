@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from capnet import matlin, rademacher
+from capnet import cli, matlin, rademacher, verify
 from capnet.network import Dataset, Layer, Network
 from conftest import make_net, sphere_points
 from oracles import all_signs, enumerate_linear_class_value
@@ -122,6 +122,46 @@ class TestSupAscent:
             eps = np.random.default_rng(s).choice([-1.0, 1.0], size=5)
             val, _ = rademacher.sup_ascent(eps, spec, data, restarts=2, steps=40, seed=s)
             assert val >= 0.0
+
+
+class TestEnforce:
+    @pytest.mark.parametrize("p", [math.inf, 4.0, 2.0, 1.5, 1.0])
+    def test_one_svd_per_layer_per_step(self, p, monkeypatch):
+        # the norm check and the projection share one SVD, and the projected
+        # point needs no re-check
+        net = verify.random_net(np.random.default_rng(0), depth=4, max_width=8,
+                                scalar_output=True, input_dim=6)
+        data = Dataset(points=np.random.default_rng(5).standard_normal((32, 6)))
+        eps = np.random.default_rng(6).choice([-1.0, 1.0], size=32)
+        svd, calls = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        enforce, per_call = rademacher._enforce, []
+
+        def counted(*args):
+            before = len(calls)
+            out = enforce(*args)
+            per_call.append(len(calls) - before)
+            return out
+
+        monkeypatch.setattr(rademacher, "_enforce", counted)
+        steps = 6
+        rademacher.sup_ascent(eps, cli._ball_class(net, p), data, restarts=2, steps=steps,
+                              seed=3)
+        assert len(per_call) >= 2 * steps * net.depth
+        assert set(per_call) == {1}
+
+    @pytest.mark.parametrize("kind", [matlin.SPECTRAL, matlin.schatten(1), matlin.schatten(1.5),
+                                      matlin.schatten(2), matlin.schatten(4), matlin.FROBENIUS,
+                                      matlin.ROWS_L1_MAX, matlin.ROWS_L2_SUM])
+    def test_single_ball_result_is_feasible(self, kind, rng):
+        # far outside, the l1-type projections overshoot by rounding and are
+        # projected again
+        for scale in (0.5, 3.0, 1e3, 1e6):
+            for _ in range(25):
+                w = rng.standard_normal((rng.integers(1, 9), rng.integers(1, 9))) * scale
+                c = matlin.BallConstraint(kind, float(rng.uniform(0.1, 3.0)))
+                out = rademacher._enforce(w, (c,), None)
+                assert matlin.matrix_norm(out, kind) <= c.radius * (1 + 1e-12)
 
 
 class TestMcRademacher:
