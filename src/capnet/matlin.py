@@ -186,8 +186,19 @@ def rank1_approx(w) -> tuple[np.ndarray, float]:
 # Euclidean (Frobenius-distance) projections onto norm balls
 # ---------------------------------------------------------------------------
 
+def _check_radius(radius: float) -> None:
+    if not radius > 0:
+        raise ValueError(f"ball radius must be positive, got {radius}")
+
+
 def project_l1_ball(v, radius: float) -> np.ndarray:
-    """Project a vector onto the l1 ball by the sorted-threshold rule."""
+    """Project a vector onto the l1 ball by the sorted-threshold rule.
+
+    rho is the last sorted position that passes the threshold test; when
+    rounding fails it everywhere (entries some 2^53 times the radius) rho is
+    0 and the result is the zero vector.
+    """
+    _check_radius(radius)
     v = np.asarray(v, dtype=np.float64)
     a = np.abs(v)
     if a.sum() <= radius:
@@ -195,9 +206,33 @@ def project_l1_ball(v, radius: float) -> np.ndarray:
     u = np.sort(a)[::-1]
     css = np.cumsum(u)
     ks = np.arange(1, u.size + 1)
-    rho = np.nonzero(u - (css - radius) / ks > 0)[0][-1]
+    hits = np.nonzero(u - (css - radius) / ks > 0)[0]
+    rho = hits[-1] if hits.size else 0
     theta = (css[rho] - radius) / (rho + 1.0)
     return np.sign(v) * np.maximum(a - theta, 0.0)
+
+
+def project_l1_rows(w, radius: float) -> np.ndarray:
+    """Project every row of a (rows, n) stack onto the l1 ball.
+
+    The sorted-threshold rule of :func:`project_l1_ball` along the last
+    axis, with one sort and one cumsum for the whole stack; each row comes
+    out bit-identical to ``project_l1_ball(row, radius)``, and rows inside
+    the ball come back unchanged.
+    """
+    _check_radius(radius)
+    w = np.asarray(w, dtype=np.float64)
+    a = np.abs(w)
+    inside = a.sum(axis=1) <= radius
+    if inside.all():
+        return w.copy()
+    u = np.sort(a, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1)
+    ks = np.arange(1, w.shape[1] + 1)
+    hits = u - (css - radius) / ks > 0
+    rho = np.where(hits.any(axis=1), w.shape[1] - 1 - hits[:, ::-1].argmax(axis=1), 0)
+    theta = (css[np.arange(w.shape[0]), rho] - radius) / (rho + 1.0)
+    return np.where(inside[:, None], w, np.sign(w) * np.maximum(a - theta[:, None], 0.0))
 
 
 def _lp_vec_norm(a: np.ndarray, p: float) -> float:
@@ -417,7 +452,7 @@ def project_to_ball(w, c: BallConstraint) -> np.ndarray:
         if kind.tag == "frobenius":
             out = w * (c.radius / float(np.linalg.norm(w)))
         elif kind.tag == "rows_l1_max":
-            out = np.vstack([project_l1_ball(row, c.radius)[None, :] for row in w])
+            out = project_l1_rows(w, c.radius)
         elif kind.tag == "rows_l2_sum":
             norms = np.sqrt((w * w).sum(axis=1))
             shrunk = project_l1_ball(norms, c.radius)

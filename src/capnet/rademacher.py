@@ -94,14 +94,24 @@ def sign_matrix(m: int, start: int = 0, stop: int | None = None) -> np.ndarray:
 
 
 def _sign_mean(fn, m: int) -> float:
-    """Exact mean of fn over all 2^m sign vectors; fn maps a block of sign
-    vectors (rows, 2^14 at a time) to one value per row."""
-    total = 1 << m
-    step = 1 << min(14, m)
+    """Exact mean of fn over all 2^m sign vectors.
+
+    fn maps a block of sign vectors to one value per row.  Block c holds the
+    rows [c 2^14, (c+1) 2^14) of ``sign_matrix(m)`` (one block of all 2^m
+    rows when m <= 14), and the block sums are added in order.  The low 14
+    columns are the same in every block and the others are constant within
+    one, so a single array is built once and only its high columns change
+    between blocks: fn must neither keep nor modify the block it is given.
+    """
+    low = min(14, m)
+    block = np.empty((1 << low, m))
+    block[:, :low] = sign_matrix(low)
+    high = np.arange(m - low, dtype=np.int64)
     acc = 0.0
-    for start in range(0, total, step):
-        acc += float(fn(sign_matrix(m, start, min(start + step, total))).sum())
-    return acc / total
+    for c in range(1 << (m - low)):
+        block[:, low:] = ((c >> high) & 1) * 2 - 1
+        acc += float(fn(block).sum())
+    return acc / (1 << m)
 
 
 def exact_rademacher(values) -> RademacherEstimate:
@@ -112,6 +122,8 @@ def exact_rademacher(values) -> RademacherEstimate:
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
         raise ValueError("expected a non-empty m x K evaluation matrix")
+    if not np.isfinite(v).all():
+        raise ValueError("evaluation matrix entries must be finite")
     m, _k = v.shape
     if m > ENUM_CAP:
         raise ValueError(
@@ -378,10 +390,16 @@ def _check_contraction(f_values, R: float, lam: float, pool, project, right_norm
     """The peeling check for one ball: pool(dim) gives the feasible starting
     directions, project maps rows back onto the ball, and right_norm is the
     dual norm over the last axis of the (E, K, dim) signed sums.  Each sign
-    vector's best start is refined by projected ascent."""
+    vector's best start is refined by projected ascent.  R and lam must be
+    finite and positive (the step needs g(z) = exp(lam z) increasing), and
+    f_values finite."""
+    if not (0 < R < math.inf and 0 < lam < math.inf):
+        raise ValueError(f"need finite R > 0 and lam > 0, got R={R}, lam={lam}")
     f = np.asarray(f_values, dtype=np.float64)
     if f.ndim != 3:
         raise ValueError("f_values must have shape (K, m, dim)")
+    if not np.isfinite(f).all():
+        raise ValueError("f_values must be finite")
     k, m, dim = f.shape
     if m > CONTRACTION_CAP:
         raise ValueError(f"m={m} exceeds the enumeration cap {CONTRACTION_CAP}")
@@ -455,10 +473,8 @@ def check_contraction_l1inf(f_values, R: float, lam: float,
         interior = interior * (R / np.abs(interior).sum(axis=1, keepdims=True))
         return np.concatenate([R * np.eye(dim), -R * np.eye(dim), interior], axis=0)
 
-    def l1ball(w):
-        return np.vstack([matlin.project_l1_ball(row, R)[None, :] for row in w])
-
-    return _check_contraction(f_values, R, lam, pool, l1ball,
+    return _check_contraction(f_values, R, lam, pool,
+                              lambda w: matlin.project_l1_rows(w, R),
                               lambda t: np.abs(t).max(axis=2),
                               activation, "l1/inf contraction")
 
@@ -476,6 +492,8 @@ def check_union_bound(classes, A: float, m: int) -> tuple[float, float]:
     for i, v in enumerate(mats, start=1):
         if v.ndim != 2 or v.shape[0] != m:
             raise ValueError(f"class {i} is not an m x K matrix")
+        if not np.isfinite(v).all():
+            raise ValueError(f"class {i} has non-finite entries")
         if np.abs(v).max() > A * (1.0 + 1e-12):
             raise ValueError(f"class {i} exceeds the stated bound A={A}")
     lhs = exact_rademacher(np.hstack(mats)).value

@@ -134,3 +134,44 @@ def project_lp_ball_bisection(v, p: float, radius: float) -> np.ndarray:
         if hi - lo <= 1e-10 * max(1.0, hi):
             break
     return np.sign(v) * _lp_shrink(a, p, hi)
+
+
+def project_l1_rows_loop(w, radius: float) -> np.ndarray:
+    """Row-wise l1-ball projection as one ``project_l1_ball`` call per row.
+
+    This was the row projection of ``matlin.project_to_ball`` and of the
+    l1/inf contraction harness before it was batched; the batched
+    ``matlin.project_l1_rows`` must equal it bit for bit.
+    """
+    from capnet.matlin import project_l1_ball
+
+    return np.vstack([project_l1_ball(row, radius)[None, :] for row in w])
+
+
+def project_rows_l1_max_loop(w, radius: float) -> np.ndarray:
+    """``project_to_ball`` onto a ROWS_L1_MAX ball with the per-row loop."""
+    from capnet.matlin import ROWS_L1_MAX, matrix_norm
+
+    limit = radius * (1.0 + 1e-12)
+    if matrix_norm(w, ROWS_L1_MAX) <= limit:
+        return w
+    out = project_l1_rows_loop(w, radius)
+    return out if matrix_norm(out, ROWS_L1_MAX) <= limit \
+        else project_rows_l1_max_loop(out, radius)
+
+
+def sign_mean_by_chunks(fn, m: int) -> float:
+    """Mean of fn over all 2^m sign vectors, enumerated chunk by chunk with a
+    fresh ``sign_matrix(m, start, stop)`` per 2^14-row chunk.
+
+    This was ``rademacher._sign_mean`` before it built each block from a
+    precomputed low part; the library's result must equal it exactly.
+    """
+    from capnet.rademacher import sign_matrix
+
+    total = 1 << m
+    step = 1 << min(14, m)
+    acc = 0.0
+    for start in range(0, total, step):
+        acc += float(fn(sign_matrix(m, start, min(start + step, total))).sum())
+    return acc / total

@@ -1,7 +1,9 @@
-"""The ascent commands of the benchmark print exactly their recorded bytes.
+"""Benchmark commands print exactly their recorded bytes.
 
 The benchmark under ``perfbench/`` fails a run whose ``rademacher`` output
-moved at all; this test catches such a move in the suite.  It only reads
+moved at all; these tests catch such a move in the suite, for the ascent
+commands and for the analysis commands that enumerate sign vectors or run
+the contraction harnesses.  They only read
 ``perfbench/`` (the input generator, the workload definitions and the
 recorded references) and writes its input files under pytest's tmp_path.
 """
@@ -36,9 +38,9 @@ def _load(name):
     return module
 
 
-@pytest.mark.parametrize("workload", ["ascent-schatten", "ascent-cheap-ball"])
-@pytest.mark.parametrize("entry", [0, 1])
-def test_rademacher_bytes_match_references(workload, entry, tmp_path):
+def _run_against_references(workload, entry, tmp_path, labels=None):
+    """Run the workload's commands (those named in labels, if given) on input
+    set entry and compare each stdout's sha256 with the recorded reference."""
     inputs, workloads = _load("inputs"), _load("workloads")
     with open(os.path.join(PERFBENCH, "references.json"), encoding="utf-8") as fh:
         refs = json.load(fh)[workload][str(entry)]
@@ -49,14 +51,31 @@ def test_rademacher_bytes_match_references(workload, entry, tmp_path):
         with open(paths[-1], "w", encoding="utf-8") as fh:
             json.dump(obj, fh)
             fh.write("\n")
-    cmds = workloads.commands(workload, *paths, seed, str(tmp_path))
-    assert cmds and all(cmd.argv[0] == "rademacher" for cmd in cmds)
+    cmds = [cmd for cmd in workloads.commands(workload, *paths, seed, str(tmp_path))
+            if labels is None or cmd.label in labels]
+    assert cmds
     for cmd in cmds:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert cli.main(list(cmd.argv)) == 0
         digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
         assert digest == refs[cmd.label]["sha256"], (cmd.label, out.getvalue())
+    return cmds
+
+
+@pytest.mark.parametrize("workload", ["ascent-schatten", "ascent-cheap-ball"])
+@pytest.mark.parametrize("entry", [0, 1])
+def test_rademacher_bytes_match_references(workload, entry, tmp_path):
+    cmds = _run_against_references(workload, entry, tmp_path)
+    assert all(cmd.argv[0] == "rademacher" for cmd in cmds)
+
+
+def test_enumeration_and_verify_bytes_match_references(tmp_path):
+    # the commands that run the exact sign enumeration and the contraction
+    # harnesses (the others of the pass write files or only read the net)
+    labels = {"lowerbound", "lowerbound-m21", "verify"}
+    cmds = _run_against_references("analysis", 0, tmp_path, labels)
+    assert {cmd.label for cmd in cmds} == labels
 
 
 @pytest.mark.parametrize("workload", ["ascent-schatten", "ascent-cheap-ball", "analysis"])

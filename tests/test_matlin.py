@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from capnet import matlin
-from oracles import (nearest_in_ball_grid, project_lp_ball_bisection,
-                     projection_via_slsqp, singular_values_via_gram)
+from oracles import (nearest_in_ball_grid, project_l1_rows_loop, project_lp_ball_bisection,
+                     project_rows_l1_max_loop, projection_via_slsqp,
+                     singular_values_via_gram)
 
 small_matrices = arrays(
     np.float64, st.tuples(st.integers(1, 5), st.integers(1, 5)),
@@ -342,3 +343,70 @@ class TestReplayedLpProjection:
             fallbacks += len(calls) > evaluated
             del calls[:]
         assert fallbacks >= expected >= (20 if falls_back else 0)
+
+
+def _l1_stacks(seed, count):
+    """(rows, n) stacks with n in 1..300, some zero entries and rows scaled
+    to 0.1..10 times the radius in l1 norm, so that most stacks mix rows
+    inside and outside the ball; radius 1e-3..1e2.  In every third stack the
+    radius is one row's computed l1 norm, which puts that row on the
+    boundary, where the inside test depends on numpy's pairwise summation
+    (n >= 8) of the row."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        rows, n = int(rng.integers(1, 17)), int(rng.integers(1, 301))
+        radius = float(np.exp(rng.uniform(math.log(1e-3), math.log(1e2))))
+        w = rng.standard_normal((rows, n))
+        w[rng.random(w.shape) < 0.2] = 0.0
+        l1 = np.abs(w).sum(axis=1, keepdims=True)
+        factor = np.exp(rng.uniform(math.log(0.1), math.log(10.0), (rows, 1)))
+        w = np.divide(w * radius * factor, l1, out=w, where=l1 > 0)
+        if i % 3 == 0:
+            radius = float(np.abs(w[int(rng.integers(rows))]).sum())
+        yield w, radius
+
+
+class TestBatchedL1Projection:
+    """project_l1_rows batches the per-row sorted-threshold rule; each row
+    must be the per-row projection's, bit for bit."""
+
+    def test_bit_identical_to_row_loop(self):
+        inside = outside = 0
+        for w, radius in _l1_stacks(11, 1200):
+            ref = project_l1_rows_loop(w, radius)
+            got = matlin.project_l1_rows(w, radius)
+            assert np.array_equal(got, ref), (w, radius)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+            hit = np.abs(w).sum(axis=1) <= radius
+            inside += int(hit.sum())
+            outside += int((~hit).sum())
+        assert inside >= 1000 and outside >= 1000
+
+    def test_project_to_ball_matches_row_loop(self):
+        for w, radius in _l1_stacks(12, 300):
+            c = matlin.BallConstraint(matlin.ROWS_L1_MAX, radius)
+            ref = project_rows_l1_max_loop(w, radius)
+            got = matlin.project_to_ball(w, c)
+            assert np.array_equal(got, ref) and np.array_equal(np.signbit(got),
+                                                               np.signbit(ref))
+
+    def test_rows_inside_come_back_unchanged(self):
+        w = np.array([[0.25, -0.0, 0.5], [3.0, -1.0, 0.0]])
+        out = matlin.project_l1_rows(w, 1.0)
+        assert out is not w
+        assert np.array_equal(out[0], w[0]) and np.signbit(out[0, 1])
+        assert np.array_equal(out[1], [1.0, 0.0, 0.0])
+        assert np.array_equal(matlin.project_l1_rows(w[:1], 1.0), w[:1])
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+    def test_bad_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            matlin.project_l1_ball(np.array([3.0, -1.0]), radius)
+        with pytest.raises(ValueError, match="radius"):
+            matlin.project_l1_rows(np.array([[3.0, -1.0]]), radius)
+
+    def test_radius_below_rounding_of_the_entries(self):
+        # u - (u - radius) rounds to 0, so no sorted position passes the test
+        w = np.array([[1e20, -1e20], [0.5, 0.0]])
+        assert np.array_equal(matlin.project_l1_ball(w[0], 1.0), [0.0, -0.0])
+        assert np.array_equal(matlin.project_l1_rows(w, 1.0), [[0.0, -0.0], [0.5, 0.0]])

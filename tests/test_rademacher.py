@@ -6,7 +6,7 @@ import pytest
 from capnet import cli, matlin, rademacher, verify
 from capnet.network import Dataset, Layer, Network
 from conftest import make_net, sphere_points
-from oracles import all_signs, enumerate_linear_class_value
+from oracles import all_signs, enumerate_linear_class_value, sign_mean_by_chunks
 
 
 def linear_spec(dim, radius=1.0, kind=None):
@@ -44,6 +44,27 @@ class TestExactRademacher:
     def test_cap_refusal_mentions_monte_carlo(self):
         with pytest.raises(ValueError, match="mc_rademacher"):
             rademacher.exact_rademacher(np.zeros((23, 1)))
+
+    def test_non_finite_values_rejected(self, rng):
+        v = rng.standard_normal((4, 3))
+        v[2, 1] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            rademacher.exact_rademacher(v)
+
+
+class TestSignMean:
+    @pytest.mark.parametrize("m", [3, 14, 15, 18])
+    def test_equals_per_chunk_enumeration(self, m):
+        # the block's row order shows in the seeded max of s @ v
+        v = np.random.default_rng(m).standard_normal((m, 5))
+        fn = lambda s: (s @ v).max(axis=1)  # noqa: E731
+        assert rademacher._sign_mean(fn, m) == sign_mean_by_chunks(fn, m)
+
+    def test_blocks_are_the_sign_matrix_rows_in_order(self):
+        m, blocks = 16, []
+        rademacher._sign_mean(lambda s: blocks.append(s.copy()) or s[:, 0], m)
+        assert len(blocks) == 4
+        assert np.array_equal(np.vstack(blocks), rademacher.sign_matrix(m))
 
 
 class TestSupAscent:
@@ -337,8 +358,28 @@ class TestContraction:
         with pytest.raises(ValueError):
             rademacher.check_contraction_frobenius(np.zeros((1, 15, 2)), 1.0, 0.5)
 
+    @pytest.mark.parametrize("name", ["frobenius", "l1inf"])
+    def test_non_finite_f_values_rejected(self, name, rng):
+        f = rng.standard_normal((2, 5, 3))
+        f[1, 3, 0] = math.nan
+        check = getattr(rademacher, f"check_contraction_{name}")
+        with pytest.raises(ValueError, match="finite"):
+            check(f, R=1.0, lam=0.5)
+
+    @pytest.mark.parametrize("name", ["frobenius", "l1inf"])
+    @pytest.mark.parametrize("R,lam", [(-1.0, 0.5), (0.0, 0.5), (1.0, 0.0), (1.0, -0.3),
+                                       (math.inf, 0.5), (1.0, math.nan)])
+    def test_parameters_outside_the_domain_rejected(self, name, R, lam):
+        # R = -1 used to report a violated contraction; lam <= 0 makes
+        # exp(lam z) non-increasing, where the peeling step does not apply
+        f = np.random.default_rng(0).standard_normal((2, 5, 3))
+        check = getattr(rademacher, f"check_contraction_{name}")
+        with pytest.raises(ValueError, match="R > 0 and lam > 0"):
+            check(f, R=R, lam=lam)
+
     # (lhs, rhs) recorded from the two separate harnesses the shared one
-    # replaced; f = default_rng(seed).standard_normal(shape), 32 directions
+    # replaced, and the m = 8 case from the per-row l1 projection the batched
+    # one replaced; f = default_rng(seed).standard_normal(shape), 32 directions
     @pytest.mark.parametrize("name,seed,activation,shape,R,lam,want", [
         ("frobenius", 0, "relu", (2, 6, 3), 1.3, 0.5,
          (9.974427897826025, 32.21484785436192)),
@@ -352,6 +393,9 @@ class TestContraction:
          (13.21478325544701, 26.42956651089402)),
         ("l1inf", 5, "clip1", (1, 7, 3), 1.7, 0.3,
          (3.486260253266397, 14.265970063715937)),
+        # m = 8 is the largest m of the verify suite's instances
+        ("l1inf", 6, "relu", (3, 8, 3), 1.1, 0.6,
+         (21.449551580283405, 93.66658329275714)),
     ])
     def test_golden_values(self, name, seed, activation, shape, R, lam, want):
         f = np.random.default_rng(seed).standard_normal(shape)
@@ -383,6 +427,12 @@ class TestUnionBound:
     def test_bound_violation_in_inputs(self, rng):
         with pytest.raises(ValueError, match="exceeds"):
             rademacher.check_union_bound([np.full((3, 1), 5.0)], A=1.0, m=3)
+
+    def test_non_finite_class_rejected(self, rng):
+        bad = rng.uniform(-1, 1, size=(4, 2))
+        bad[0, 1] = math.nan
+        with pytest.raises(ValueError, match="class 2 has non-finite"):
+            rademacher.check_union_bound([rng.uniform(-1, 1, size=(4, 3)), bad], A=1.0, m=4)
 
 
 class TestLipschitzCover:
