@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import matlin
 from .errors import DegenerateLayerError, ShapeError, VerificationError
 from .network import Dataset, ELEMENTWISE_TAGS, Network, NormProfile, profile
 
@@ -173,15 +174,21 @@ def bound_frobenius_depth_free(prof: NormProfile, B: float, m: int, gamma: float
     _check_gamma(gamma)
     if prof.gamma <= 0.0:
         raise DegenerateLayerError("zero spectral-norm product; depth-free bound undefined")
-    lb = logbar(prof.frobenius_product / prof.gamma)
-    first = logbar(m) ** 0.75 * math.sqrt(lb) / m ** 0.25
-    second = math.sqrt(prof.depth / m)
+    first, second = frobenius_depth_free_branches(prof, m)
     # consistency knot: the r-scan with alpha = beta = 1/2 can never beat the
     # closed form by more than its stated factor 3
-    t = tune_r(0.5, 0.5, math.sqrt(lb), logbar(m) ** 1.5, math.sqrt(m), prof.depth)
+    t = tune_r(0.5, 0.5, math.sqrt(logbar(prof.frobenius_product / prof.gamma)),
+               logbar(m) ** 1.5, math.sqrt(m), prof.depth)
     if not t.value <= 3.0 * min(first, second) * (1.0 + 1e-9):
         raise VerificationError(f"r-scan {t.value} over 3x closed form {min(first, second)}")
     return (B * prof.frobenius_product / gamma) * min(first, second)
+
+
+def frobenius_depth_free_branches(prof: NormProfile, m: int) -> tuple[float, float]:
+    """The two branches of the depth-free Frobenius bound's min:
+    logbar(m)^(3/4) sqrt(logbar(prod M_F / Gamma)) / m^(1/4) and sqrt(d/m)."""
+    lb = logbar(prof.frobenius_product / prof.gamma)
+    return logbar(m) ** 0.75 * math.sqrt(lb) / m ** 0.25, math.sqrt(prof.depth / m)
 
 
 def bound_schatten_depth_free(prof: NormProfile, B: float, m: int, gamma: float,
@@ -197,8 +204,7 @@ def bound_schatten_depth_free(prof: NormProfile, B: float, m: int, gamma: float,
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
     _check_gamma(gamma)
-    if math.isinf(p) or not 1.0 <= p <= 64.0:
-        raise ValueError(f"need a finite Schatten exponent in [1, 64], got {p}")
+    matlin._check_schatten_p(p)
     if prof.gamma <= 0.0 or prof.ratio_max is None:
         raise DegenerateLayerError("zero layer; depth-free spectral bound undefined")
     lb = logbar(prof.schatten_product / prof.gamma)
@@ -272,10 +278,6 @@ class BoundEntry:
     citation: str
     inputs_digest: str
 
-    @property
-    def applicable(self) -> bool:
-        return self.value is not None
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -306,28 +308,16 @@ class BoundReport:
         return "\n".join(lines) + "\n"
 
     def to_obj(self) -> dict:
-        ctx = self.context
-        return {
-            "context": {"m": ctx.m, "B": ctx.B, "gamma": ctx.gamma, "p": ctx.p,
-                        "n": ctx.n, "h": ctx.h, "d": ctx.d},
-            "entries": [
-                {"name": e.name, "value": e.value, "exact_constants": e.exact_constants,
-                 "citation": e.citation, "inputs_digest": e.inputs_digest}
-                for e in self.entries
-            ],
-        }
+        return {"context": dataclasses.asdict(self.context),
+                "entries": [dataclasses.asdict(e) for e in self.entries]}
 
     def render_structured(self) -> str:
         return json.dumps(self.to_obj(), indent=1) + "\n"
 
     def render_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["name", "value", "exact_constants", "citation"])
-        for e in self.entries:
-            val = "inapplicable" if e.value is None else _fmt(e.value)
-            writer.writerow([e.name, val, str(e.exact_constants).lower(), e.citation])
-        return buf.getvalue()
+        return csv_text(["name", "value", "exact_constants", "citation"], [
+            [e.name, "inapplicable" if e.value is None else e.value,
+             str(e.exact_constants).lower(), e.citation] for e in self.entries])
 
 
 def _fmt(x: float) -> str:
@@ -335,10 +325,25 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def csv_text(header: list[str], rows: list[list]) -> str:
+    """CSV with a header row; floats take 17 digits, strings pass through."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([
+            v if isinstance(v, str)
+            else _fmt(v) if isinstance(v, (float, np.floating))
+            else str(v)
+            for v in row
+        ])
+    return buf.getvalue()
+
+
 def _digest(prof: NormProfile, ctx: BoundContext, name: str) -> str:
     payload = json.dumps({
         "name": name,
-        "ctx": [ctx.m, ctx.B, ctx.gamma, ctx.p, ctx.n, ctx.h, ctx.d],
+        "ctx": dataclasses.astuple(ctx),
         "spectral": prof.spectral, "frobenius": prof.frobenius,
         "schatten": prof.schatten, "rows_l2_sum": prof.rows_l2_sum,
         "rows_l1_max": prof.rows_l1_max,

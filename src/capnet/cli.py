@@ -9,8 +9,6 @@ deterministic for fixed flags (including the seed).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -59,30 +57,16 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([
-            v if isinstance(v, str)
-            else _FMT(v) if isinstance(v, (float, np.floating))
-            else str(v)
-            for v in row
-        ])
-    return buf.getvalue()
-
-
 # the shared flags; each subcommand declares the ones it reads
 _FLAGS = {
     "--network": dict(required=True, help="network JSON file"),
     "--data": dict(help="dataset JSON file"),
     "--p": dict(type=_parse_p, default=2.0,
-                help="Schatten exponent in [1, 64] or inf (default 2)"),
+                help=f"Schatten exponent in [1, {matlin.MAX_SCHATTEN_P:g}] or inf (default 2)"),
     "--gamma": dict(type=float, default=1.0, help="margin parameter"),
     "--gamma-cap": dict(type=float, default=None, help="upper cap applied to gamma"),
     "--seed": dict(type=int, default=42),
-    "--samples": dict(type=int, default=None),
+    "--samples": dict(type=int),  # each subcommand sets its own default
     "--restarts": dict(type=int, default=8),
     "--steps": dict(type=int, default=500),
     "--format": dict(dest="fmt", choices=("table", "structured", "csv"), default="table"),
@@ -98,32 +82,34 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="capnet", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, flags, help):
+    def command(name, func, flags, help, **defaults):
         sp = sub.add_parser(name, help=help)
         for flag in flags.split():
             sp.add_argument(flag, **_FLAGS[flag])
-        sp.set_defaults(func=func)
+        sp.set_defaults(func=func, **defaults)
         return sp
 
     command("report", cmd_report, "--network --data --p --gamma --gamma-cap --seed "
             "--format --out --override-Gamma --override-M", "evaluate every applicable bound")
 
     sp = command("compress", cmd_compress, "--network --data --p --seed --samples --out "
-                 "--override-Gamma --override-M", "rank-1 layer replacement with certificate")
+                 "--override-Gamma --override-M", "rank-1 layer replacement with certificate",
+                 samples=1000)
     sp.add_argument("--r", type=int, required=True, help="replacement depth budget")
     sp.add_argument("--B", type=float, default=None, help="domain radius when no dataset")
 
     command("rademacher", cmd_rademacher, "--network --data --p --seed --samples --restarts "
-            "--steps --format --out", "Monte Carlo complexity of the norm-ball class")
+            "--steps --format --out", "Monte Carlo complexity of the norm-ball class",
+            samples=32)
 
     sp = command("lowerbound", cmd_lowerbound, "--gamma --gamma-cap --seed --samples --out",
-                 "construction-vs-floor ratio table (CSV)")
+                 "construction-vs-floor ratio table (CSV)", samples=0)
     sp.add_argument("--h-grid", type=_int_list, default=[2, 4, 8])
     sp.add_argument("--m-grid", type=_int_list, default=[8, 16])
     sp.add_argument("--p-grid", type=_float_list, default=[1.0, 2.0, math.inf])
 
     sp = command("sweep", cmd_sweep, "--data --gamma --gamma-cap --seed --samples --restarts "
-                 "--steps --out", "depth sweep with pinned norm products (CSV)")
+                 "--steps --out", "depth sweep with pinned norm products (CSV)", samples=0)
     sp.add_argument("--depths", type=_int_list, default=list(range(2, 65)))
     sp.add_argument("--family", choices=("ultrathin", "random"), default="ultrathin")
     sp.add_argument("--product", type=float, default=1.0,
@@ -171,21 +157,18 @@ def cmd_compress(args) -> int:
         b_source = "user"
     else:
         raise ParseError("compress needs --data or --B for the domain radius")
-    if math.isinf(args.p):
-        raise ParseError("compress needs a finite Schatten exponent")
     compressed, cert = compress.rank1_replace(
         net, p=args.p, r=args.r, B=B,
         gamma_override=args.override_gamma, schatten_override=args.override_m,
     )
-    samples = args.samples or 1000
     observed = compress.verify_certificate(net, compressed, cert, B=B,
-                                           samples=samples, seed=args.seed)
+                                           samples=args.samples, seed=args.seed)
     lines = [
         f"replaced layer {cert.r_prime} of {net.depth} (requested r={cert.r_requested})",
         f"degenerate_zero={str(cert.degenerate_zero).lower()} B={_FMT(B)} ({b_source})",
         f"lemma_bound={_FMT(cert.lemma_bound)}",
         f"theorem_bound={_FMT(cert.theorem_bound)}",
-        f"observed_deviation={_FMT(observed)} ({samples} samples, seed {args.seed})",
+        f"observed_deviation={_FMT(observed)} ({args.samples} samples, seed {args.seed})",
     ]
     if args.out:
         save_network(compressed, args.out)
@@ -213,7 +196,7 @@ def cmd_rademacher(args) -> int:
     net = load_network(args.network)
     data = load_dataset(args.data)
     spec = _ball_class(net, args.p)
-    est = rademacher.mc_rademacher(spec, data, epsilon_samples=args.samples or 32,
+    est = rademacher.mc_rademacher(spec, data, epsilon_samples=args.samples,
                                    restarts=args.restarts, steps=args.steps, seed=args.seed)
     obj = {
         "value": est.value, "method": est.method, "epsilon_samples": est.epsilon_samples,
@@ -223,7 +206,7 @@ def cmd_rademacher(args) -> int:
     if args.fmt == "structured":
         text = json.dumps(obj, indent=1) + "\n"
     elif args.fmt == "csv":
-        text = _csv_text(list(obj), [list(obj.values())])
+        text = bounds.csv_text(list(obj), [list(obj.values())])
     else:
         text = "".join(f"{k}: {_FMT(v) if isinstance(v, float) else v}\n"
                        for k, v in obj.items())
@@ -234,12 +217,12 @@ def cmd_rademacher(args) -> int:
 def cmd_lowerbound(args) -> int:
     rows = lowerbound.demonstrate_lower_bound(
         h_grid=args.h_grid, m_grid=args.m_grid, p_grid=args.p_grid,
-        seed=args.seed, gamma=_gamma(args), samples=args.samples or 0,
+        seed=args.seed, gamma=_gamma(args), samples=args.samples,
     )
     header = ["h", "m", "p", "diag_value", "scalar_value", "bound_lower", "ratio"]
-    text = _csv_text(header, [[r["h"], r["m"], _FMT(r["p"]), r["diag_value"],
-                               r["scalar_value"], r["bound_lower"], r["ratio"]]
-                              for r in rows])
+    text = bounds.csv_text(header, [[r["h"], r["m"], _FMT(r["p"]), r["diag_value"],
+                                     r["scalar_value"], r["bound_lower"], r["ratio"]]
+                                    for r in rows])
     _emit(text, args.out)
     return 0
 
@@ -272,6 +255,8 @@ def _random_family(depth: int, dim: int, product: float, seed: int) -> Network:
 def cmd_sweep(args) -> int:
     if any(d < 1 for d in args.depths):
         raise ParseError("depths must be positive")
+    if not 0.0 < args.product < math.inf:
+        raise ParseError(f"--product must be finite and > 0, got {args.product}")
     if args.data:
         data = load_dataset(args.data)
     else:
@@ -288,9 +273,7 @@ def cmd_sweep(args) -> int:
         ney = bounds.bound_frobenius_exp_depth(prof, B, m)
         sqd = bounds.bound_frobenius_sqrt_depth(prof, data)
         free = bounds.bound_frobenius_depth_free(prof, B, m, _gamma(args))
-        first = bounds.logbar(m) ** 0.75 * math.sqrt(
-            bounds.logbar(prof.frobenius_product / prof.gamma)) / m ** 0.25
-        second = math.sqrt(d / m)
+        first, second = bounds.frobenius_depth_free_branches(prof, m)
         if args.family == "ultrathin" and first < second:
             active_plateau.append(free)
         mc_val, mc_err = "", ""
@@ -305,7 +288,7 @@ def cmd_sweep(args) -> int:
         raise VerificationError(
             "depth-free column varies across depths while its first branch is active"
         )
-    text = _csv_text(
+    text = bounds.csv_text(
         ["depth", "frobenius_exp_depth", "frobenius_sqrt_depth",
          "frobenius_depth_free", "mc_estimate", "mc_std_error"], rows)
     _emit(text, args.out)

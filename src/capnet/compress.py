@@ -11,6 +11,7 @@ form, and can be re-checked by sampling.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -60,13 +61,7 @@ class CompressionCertificate:
                 )
 
     def to_obj(self) -> dict:
-        return {
-            "r_requested": self.r_requested, "r_prime": self.r_prime, "p": self.p,
-            "gamma_product": self.gamma_product, "schatten_product": self.schatten_product,
-            "lemma_bound": self.lemma_bound, "theorem_bound": self.theorem_bound,
-            "degenerate_zero": self.degenerate_zero, "B": self.B,
-            "inputs_digest": self.inputs_digest,
-        }
+        return dataclasses.asdict(self)
 
 
 def select_layer(net: Network, p: float, r: int) -> int:
@@ -99,10 +94,14 @@ def rank1_replace(net: Network, p: float, r: int, B: float,
     """Replace one near-rank-1 layer and certify the sup-norm deviation.
 
     Gamma and M default to the network's actual norm products; overrides
-    let callers certify against looser external budgets.
+    let callers certify against looser external budgets and must be finite
+    and > 0, as B must be finite and >= 0.
     """
-    if math.isinf(p) or not 1.0 <= p <= 64.0:
-        raise ValueError(f"need a finite Schatten exponent in [1, 64], got {p}")
+    matlin._check_schatten_p(p)
+    _check_radius(B)
+    for name, v in (("Gamma", gamma_override), ("M", schatten_override)):
+        if v is not None and not 0.0 < v < math.inf:
+            raise ValueError(f"override of {name} must be finite and > 0, got {v}")
     if not 1 <= r <= net.depth:
         raise ValueError(f"r={r} out of range for depth {net.depth}")
     prof = profile(net, p)
@@ -153,19 +152,25 @@ def verify_certificate(net: Network, compressed: Network, cert: CompressionCerti
     derived from (seed, index), plus the deterministic extremes +-B times
     each right-singular direction of the first layer.  The observed maximum
     is a lower bound on the true sup, so exceeding either certified bound
-    (at 1e-6 relative tolerance) is a hard failure.
+    (at 1e-6 relative tolerance), or a nan on either side, is a hard failure.
     """
+    _check_radius(B)
     right = matlin.svd(net.layers[0].weight).right
     extremes = [sign * B * right[:, k] for k in range(right.shape[1]) for sign in (1.0, -1.0)]
     x = np.vstack([B * sphere_points(net.input_dim, samples, seed)] + extremes)
     diff = forward_batch(net, x) - forward_batch(compressed, x)
     observed = float(np.sqrt((diff * diff).sum(axis=1)).max())
     for name, bound in (("lemma", cert.lemma_bound), ("theorem", cert.theorem_bound)):
-        if observed > bound * (1.0 + 1e-6):
+        if not observed <= bound * (1.0 + 1e-6):
             raise VerificationError(
                 f"observed deviation {observed} exceeds {name} bound {bound}"
             )
     return observed
+
+
+def _check_radius(B: float) -> None:
+    if not 0.0 <= B < math.inf:
+        raise ValueError(f"domain radius B must be finite and >= 0, got {B}")
 
 
 @dataclass(frozen=True)
@@ -224,13 +229,7 @@ def factor_compressed(compressed: Network, r_prime: int) -> tuple[Network, Chain
         direction=u,
         head_activation=compressed.layers[r_prime - 1].activation,
         tail=compressed.layers[r_prime:],
-        lipschitz_bound=lipschitz_tail(compressed, r_prime),
+        lipschitz_bound=(lipschitz_product(compressed, r_prime + 1)
+                         if r_prime < compressed.depth else 1.0),
     )
     return shallow, chain
-
-
-def lipschitz_tail(net: Network, r_prime: int) -> float:
-    """Product of spectral norms of layers strictly above r_prime."""
-    if r_prime >= net.depth:
-        return 1.0
-    return lipschitz_product(net, r_prime + 1, net.depth)

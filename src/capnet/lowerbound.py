@@ -23,7 +23,7 @@ from . import matlin
 from .bounds import bound_lower
 from .errors import VerificationError
 from .network import Dataset, Layer, Network, _rng
-from .rademacher import ENUM_CAP, ClassSpec, RademacherEstimate, _sign_mean
+from .rademacher import ClassSpec, RademacherEstimate, enumeration_estimate
 
 
 def dual_exponent(p: float) -> float:
@@ -158,62 +158,49 @@ def build_diag(h: int, m: int, p: float, B: float, gamma: float,
     return cons, spec
 
 
-def exact_diag_rademacher(cons: DiagConstruction, mode: str = "enumerate",
-                          samples: int = 0, seed: int = 0) -> RademacherEstimate:
+def exact_diag_rademacher(cons: DiagConstruction, samples: int = 0,
+                          seed: int = 0) -> RademacherEstimate:
     """Complexity of the diagonal construction with the exact inner supremum.
 
     value = (B prod_j budgets_j / (gamma m)) * E ||(c)_+||_q with
     c_k = sum_{i in A_k} eps_i.
     """
-    scale = cons.B * float(np.prod(cons.budgets)) / (cons.gamma * cons.m)
     bmat = cons.bucket_matrix()
-    return _sign_expectation(
-        lambda s: positive_part_dual_norm(s @ bmat, cons.p),
-        cons.m, mode, samples, seed, scale,
-    )
+    return _sign_expectation(lambda s: positive_part_dual_norm(s @ bmat, cons.p),
+                             cons, samples, seed)
 
 
-def diag_witness_rademacher(cons: DiagConstruction, mode: str = "enumerate",
-                            samples: int = 0, seed: int = 0) -> RademacherEstimate:
+def diag_witness_rademacher(cons: DiagConstruction, samples: int = 0,
+                            seed: int = 0) -> RademacherEstimate:
     """Same construction evaluated with the explicit witness weights."""
-    scale = cons.B * float(np.prod(cons.budgets)) / (cons.gamma * cons.m)
     bmat = cons.bucket_matrix()
-    return _sign_expectation(
-        lambda s: witness_inner_value(s @ bmat, cons.p, cons.h),
-        cons.m, mode, samples, seed, scale,
-    )
+    return _sign_expectation(lambda s: witness_inner_value(s @ bmat, cons.p, cons.h),
+                             cons, samples, seed)
 
 
-def exact_scalar_chain_rademacher(cons: ScalarChainConstruction, mode: str = "enumerate",
-                                  samples: int = 0, seed: int = 0) -> RademacherEstimate:
+def exact_scalar_chain_rademacher(cons: ScalarChainConstruction, samples: int = 0,
+                                  seed: int = 0) -> RademacherEstimate:
     """Complexity of the scalar chain: (B prod budgets / (gamma m)) E|sum eps|."""
-    scale = cons.B * float(np.prod(cons.budgets)) / (cons.gamma * cons.m)
-    return _sign_expectation(
-        lambda s: np.abs(s.sum(axis=1)), cons.m, mode, samples, seed, scale,
+    return _sign_expectation(lambda s: np.abs(s.sum(axis=1)), cons, samples, seed)
+
+
+def _sign_expectation(fn, cons, samples: int, seed: int) -> RademacherEstimate:
+    """(B prod budgets / (gamma m)) times the sign expectation of fn:
+    enumerated when samples = 0, else a Monte Carlo mean over samples >= 2."""
+    m = cons.m
+    scale = cons.B * float(np.prod(cons.budgets)) / (cons.gamma * m)
+    if samples == 0:
+        return enumeration_estimate(fn, m, lambda mean: scale * mean, "use monte-carlo")
+    if samples < 2:
+        raise ValueError(f"monte-carlo needs samples >= 2 (0 enumerates), got {samples}")
+    vals = np.empty(samples)
+    for i in range(samples):
+        vals[i] = float(fn(_rng(seed, i).choice([-1.0, 1.0], size=(1, m)))[0])
+    return RademacherEstimate(
+        value=scale * float(vals.mean()), method="monte-carlo",
+        epsilon_samples=samples, sup_restarts=0, sup_steps=0,
+        std_error=scale * float(vals.std(ddof=1) / math.sqrt(samples)), seed=seed,
     )
-
-
-def _sign_expectation(fn, m: int, mode: str, samples: int, seed: int,
-                      scale: float) -> RademacherEstimate:
-    if mode == "enumerate":
-        if m > ENUM_CAP:
-            raise ValueError(f"m={m} exceeds the enumeration cap {ENUM_CAP}; use monte-carlo")
-        return RademacherEstimate(
-            value=scale * _sign_mean(fn, m), method="exact-enumeration",
-            epsilon_samples=2 ** m, sup_restarts=0, sup_steps=0, std_error=0.0, seed=0,
-        )
-    if mode == "monte-carlo":
-        if samples < 2:
-            raise ValueError("monte-carlo mode needs samples >= 2")
-        vals = np.empty(samples)
-        for i in range(samples):
-            vals[i] = float(fn(_rng(seed, i).choice([-1.0, 1.0], size=(1, m)))[0])
-        return RademacherEstimate(
-            value=scale * float(vals.mean()), method="monte-carlo",
-            epsilon_samples=samples, sup_restarts=0, sup_steps=0,
-            std_error=scale * float(vals.std(ddof=1) / math.sqrt(samples)), seed=seed,
-        )
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 def demonstrate_lower_bound(h_grid, m_grid, p_grid, seed: int = 0, B: float = 1.0,
@@ -234,9 +221,8 @@ def demonstrate_lower_bound(h_grid, m_grid, p_grid, seed: int = 0, B: float = 1.
                 budgets = (1.0, 1.0)
                 cons, _ = build_diag(h, m, p, B, gamma, budgets)
                 chain = ScalarChainConstruction(m=m, B=B, gamma=gamma, budgets=budgets)
-                mode = "monte-carlo" if samples else "enumerate"
-                dv = exact_diag_rademacher(cons, mode, samples, seed).value
-                sv = exact_scalar_chain_rademacher(chain, mode, samples, seed).value
+                dv = exact_diag_rademacher(cons, samples, seed).value
+                sv = exact_scalar_chain_rademacher(chain, samples, seed).value
                 floor = bound_lower(budgets, B, m, gamma, h, p)
                 ratio = max(dv, sv) / floor
                 if not 0.2 <= ratio <= 2.0:

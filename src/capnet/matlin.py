@@ -20,17 +20,12 @@ MAX_SCHATTEN_P = 64.0  # beyond this the Schatten norm is numerically spectral
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def as_matrix(entries, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Validated matrix constructor.
+def as_matrix(entries) -> np.ndarray:
+    """Validated matrix constructor from a 2-D array-like.
 
-    Accepts a 2-D array-like, or a flat row-major sequence together with
-    explicit ``rows``/``cols``.  Rejects empty shapes and non-finite entries.
+    Rejects empty shapes and non-finite entries.
     """
     a = np.asarray(entries, dtype=np.float64)
-    if rows is not None:
-        if cols is None:
-            raise ValueError("rows given without cols")
-        a = a.reshape(rows, cols)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
     if a.shape[0] < 1 or a.shape[1] < 1:
@@ -70,6 +65,7 @@ ROWS_L1_MAX = NormKind("rows_l1_max")
 
 
 def _check_schatten_p(p: float) -> None:
+    """Reject a Schatten exponent outside [1, MAX_SCHATTEN_P] (inf and nan too)."""
     if not p >= 1.0:
         raise ValueError(f"schatten exponent must satisfy p >= 1, got {p}")
     if p > MAX_SCHATTEN_P:
@@ -115,44 +111,42 @@ class SvdResult:
         return (self.left * self.singular) @ self.right.T
 
 
+def _lapack_svd(w, **options):
+    """numpy's SVD of w, validated and guarded as :func:`svd` describes."""
+    w = as_matrix(w)
+    if max(w.shape) > MAX_SIDE:
+        raise ValueError(f"matrix side {max(w.shape)} exceeds supported range {MAX_SIDE}")
+    try:
+        return np.linalg.svd(w, **options)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD did not converge for a {w.shape} matrix") from exc
+
+
 def svd(w) -> SvdResult:
     """Full-accuracy thin SVD of a dense matrix (sides at most MAX_SIDE).
 
     Deterministic for a fixed input.  Non-convergence of the underlying
     solver raises :class:`NumericalError` rather than returning garbage.
     """
-    w = as_matrix(w)
-    if max(w.shape) > MAX_SIDE:
-        raise ValueError(f"matrix side {max(w.shape)} exceeds supported range {MAX_SIDE}")
-    try:
-        u, s, vh = np.linalg.svd(w, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD did not converge for a {w.shape} matrix") from exc
+    u, s, vh = _lapack_svd(w, full_matrices=False)
     return SvdResult(left=u, singular=np.maximum(s, 0.0), right=vh.T)
 
 
 def singular_values(w) -> np.ndarray:
     """Singular values of w, non-increasing."""
-    w = as_matrix(w)
-    if max(w.shape) > MAX_SIDE:
-        raise ValueError(f"matrix side {max(w.shape)} exceeds supported range {MAX_SIDE}")
-    try:
-        s = np.linalg.svd(w, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD did not converge for a {w.shape} matrix") from exc
-    return np.maximum(s, 0.0)
+    return np.maximum(_lapack_svd(w, compute_uv=False), 0.0)
 
 
 def matrix_norm(w, kind: NormKind) -> float:
     """Evaluate the selected matrix norm of w."""
+    if kind.tag in ("spectral", "schatten"):
+        return singular_norm(singular_values(w), kind)
     w = as_matrix(w)
     if kind.tag == "frobenius":
         return float(np.linalg.norm(w))
     if kind.tag == "rows_l2_sum":
         return float(np.sqrt((w * w).sum(axis=1)).sum())
-    if kind.tag == "rows_l1_max":
-        return float(np.abs(w).sum(axis=1).max())
-    return singular_norm(singular_values(w), kind)
+    return float(np.abs(w).sum(axis=1).max())
 
 
 def singular_norm(s: np.ndarray, kind: NormKind) -> float:
@@ -173,10 +167,9 @@ def rank1_approx(w) -> tuple[np.ndarray, float]:
     norm.  A zero matrix returns (zeros, 0.0); any leading singular pair is
     acceptable under ties, and the deterministic solver ordering picks one.
     """
-    w = as_matrix(w)
-    if not w.any():
-        return np.zeros_like(w), 0.0
     r = svd(w)
+    if not r.singular[0] > 0:
+        return np.zeros((r.left.shape[0], r.right.shape[0])), 0.0
     approx = r.singular[0] * np.outer(r.left[:, 0], r.right[:, 0])
     err = float(r.singular[1]) if r.singular.size > 1 else 0.0
     return approx, err
@@ -434,7 +427,7 @@ def project_to_ball(w, c: BallConstraint) -> np.ndarray:
     and reconstruct with the input's singular vectors.  Row-structured balls
     project each row independently.
     """
-    w = as_matrix(w)
+    w = np.asarray(w, dtype=np.float64)  # svd or matrix_norm validates it
     kind = c.kind
     limit = c.radius * (1.0 + 1e-12)
     if kind.tag in ("spectral", "schatten"):
@@ -453,13 +446,11 @@ def project_to_ball(w, c: BallConstraint) -> np.ndarray:
             out = w * (c.radius / float(np.linalg.norm(w)))
         elif kind.tag == "rows_l1_max":
             out = project_l1_rows(w, c.radius)
-        elif kind.tag == "rows_l2_sum":
+        else:  # rows_l2_sum
             norms = np.sqrt((w * w).sum(axis=1))
             shrunk = project_l1_ball(norms, c.radius)
             scale = np.divide(shrunk, norms, out=np.zeros_like(norms), where=norms > 0)
             out = w * scale[:, None]
-        else:
-            raise ValueError(f"unknown norm tag {kind.tag!r}")
         norm = matrix_norm(out, kind)
     # the l1-type projections (Schatten-1 and the row norms) overshoot by about
     # size * eps times the input's norm, which far outside exceeds the limit
@@ -472,31 +463,30 @@ def linear_maximizer(g, c: BallConstraint) -> np.ndarray:
     Used by the constrained ascent to polish candidates; returns a boundary
     point of the ball for any nonzero gradient G.
     """
-    g = as_matrix(g)
     kind = c.kind
+    if kind.tag in ("spectral", "schatten"):
+        r = svd(g)
+        if not r.singular[0] > 0:
+            return np.zeros((r.left.shape[0], r.right.shape[0]))
+        if kind.tag == "spectral":
+            return c.radius * (r.left @ r.right.T)
+        return (r.left * _lp_support(r.singular, kind.p, c.radius)) @ r.right.T
+    g = as_matrix(g)
     if not g.any():
         return np.zeros_like(g)
     if kind.tag == "frobenius":
         return g * (c.radius / float(np.linalg.norm(g)))
-    if kind.tag == "spectral":
-        r = svd(g)
-        return c.radius * (r.left @ r.right.T)
-    if kind.tag == "schatten":
-        r = svd(g)
-        return (r.left * _lp_support(r.singular, kind.p, c.radius)) @ r.right.T
     if kind.tag == "rows_l1_max":
         out = np.zeros_like(g)
         idx = np.abs(g).argmax(axis=1)
         rows = np.arange(g.shape[0])
         out[rows, idx] = c.radius * np.sign(g[rows, idx])
         return out
-    if kind.tag == "rows_l2_sum":
-        norms = np.sqrt((g * g).sum(axis=1))
-        best = int(norms.argmax())
-        out = np.zeros_like(g)
-        out[best] = g[best] * (c.radius / norms[best])
-        return out
-    raise ValueError(f"unknown norm tag {kind.tag!r}")
+    norms = np.sqrt((g * g).sum(axis=1))  # rows_l2_sum
+    best = int(norms.argmax())
+    out = np.zeros_like(g)
+    out[best] = g[best] * (c.radius / norms[best])
+    return out
 
 
 def _lp_support(g: np.ndarray, p: float, radius: float) -> np.ndarray:

@@ -38,6 +38,8 @@ def sphere_points(dim: int, count: int, seed: int, key: tuple[int, ...] = ()) ->
 
     A zero draw falls back to the first basis vector.
     """
+    if dim < 1 or count < 0:
+        raise ValueError(f"need dimension >= 1 and count >= 0, got dim={dim}, count={count}")
     pts = np.empty((count, dim))
     for i in range(count):
         v = _rng(seed, *key, i).standard_normal(dim)
@@ -197,7 +199,7 @@ class NormProfile:
 
 
 def profile(net: Network, p: float = 2.0) -> NormProfile:
-    """Norm profile of a network for Schatten exponent p in [1, 64] or inf."""
+    """Norm profile for a Schatten exponent p in [1, matlin.MAX_SCHATTEN_P] or inf."""
     kind = matlin.schatten(p)
     spec, frob, schat, r21, r1inf = [], [], [], [], []
     for layer in net.layers:
@@ -302,7 +304,7 @@ def network_from_obj(obj) -> Network:
         if not isinstance(data, list) or len(data) != rows * cols:
             raise ParseError(f"{where}: data must hold exactly rows*cols = {rows * cols} numbers")
         try:
-            w = matlin.as_matrix([float(v) for v in data], rows, cols)
+            w = matlin.as_matrix(np.reshape([float(v) for v in data], (rows, cols)))
         except (TypeError, ValueError) as exc:
             raise ParseError(f"{where}: {exc}") from exc
         act = None if is_last else entry["activation"]

@@ -52,7 +52,8 @@ class ClassSpec:
     constraints lists the enforced balls per layer.  masks optionally pin a
     sparsity pattern (entries off the mask stay zero); trainable marks which
     layers are optimised at all (others stay at the template weights, e.g.
-    the fixed scalar tail of the lower-bound construction).
+    the fixed scalar tail of the lower-bound construction).  Left as None,
+    they become no mask and all trainable, one entry per layer.
     """
 
     template: Network
@@ -70,15 +71,13 @@ class ClassSpec:
             raise ValueError("masks must align with layers")
         if self.trainable is not None and len(self.trainable) != d:
             raise ValueError("trainable flags must align with layers")
-        for j, tr in enumerate(self.layer_trainable()):
+        if self.masks is None:
+            object.__setattr__(self, "masks", (None,) * d)
+        if self.trainable is None:
+            object.__setattr__(self, "trainable", (True,) * d)
+        for j, tr in enumerate(self.trainable):
             if tr and not self.constraints[j]:
                 raise ValueError(f"trainable layer {j + 1} needs at least one ball constraint")
-
-    def layer_masks(self) -> tuple[np.ndarray | None, ...]:
-        return self.masks if self.masks is not None else (None,) * self.template.depth
-
-    def layer_trainable(self) -> tuple[bool, ...]:
-        return self.trainable if self.trainable is not None else (True,) * self.template.depth
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +113,18 @@ def _sign_mean(fn, m: int) -> float:
     return acc / (1 << m)
 
 
+def enumeration_estimate(fn, m: int, value, hint: str) -> RademacherEstimate:
+    """The exact estimate whose value is ``value(mean)``, for the mean of fn
+    over all 2^m sign vectors (see :func:`_sign_mean`); m above ENUM_CAP is
+    refused with the caller's hint at a sampling alternative."""
+    if m > ENUM_CAP:
+        raise ValueError(f"m={m} exceeds the exact-enumeration cap {ENUM_CAP}; {hint}")
+    return RademacherEstimate(
+        value=value(_sign_mean(fn, m)), method="exact-enumeration",
+        epsilon_samples=2 ** m, sup_restarts=0, sup_steps=0, std_error=0.0, seed=0,
+    )
+
+
 def exact_rademacher(values) -> RademacherEstimate:
     """Exact complexity of a finite class given its m x K evaluation matrix.
 
@@ -124,15 +135,9 @@ def exact_rademacher(values) -> RademacherEstimate:
         raise ValueError("expected a non-empty m x K evaluation matrix")
     if not np.isfinite(v).all():
         raise ValueError("evaluation matrix entries must be finite")
-    m, _k = v.shape
-    if m > ENUM_CAP:
-        raise ValueError(
-            f"m={m} exceeds the exact-enumeration cap {ENUM_CAP}; use mc_rademacher"
-        )
-    return RademacherEstimate(
-        value=_sign_mean(lambda s: (s @ v).max(axis=1), m) / m, method="exact-enumeration",
-        epsilon_samples=2 ** m, sup_restarts=0, sup_steps=0, std_error=0.0, seed=0,
-    )
+    m = v.shape[0]
+    return enumeration_estimate(lambda s: (s @ v).max(axis=1), m, lambda mean: mean / m,
+                                "use mc_rademacher")
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +239,7 @@ def sup_ascent(eps, spec: ClassSpec, data: Dataset, restarts: int = 8,
     m = data.m
     d = spec.template.depth
     acts = [l.activation for l in spec.template.layers]
-    masks = spec.layer_masks()
-    trainable = spec.layer_trainable()
+    masks, trainable = spec.masks, spec.trainable
     if restarts < 1 and not any(trainable):
         raise ValueError("a class with no trainable layer needs restarts >= 1")
 
@@ -262,16 +266,13 @@ def sup_ascent(eps, spec: ClassSpec, data: Dataset, restarts: int = 8,
             for j, w in enumerate(ws)
         ]
 
-    def objective(ws):
-        y, _, _ = _forward_cached(ws, acts, x)
-        return float(eps @ y) / m
-
     best_val = -math.inf
     best_ws = None
 
     def consider(ws):
+        """The objective at ws, kept as the best when it beats it."""
         nonlocal best_val, best_ws
-        v = objective(ws)
+        v = float(eps @ _forward_cached(ws, acts, x)[0]) / m
         if v > best_val:
             best_val, best_ws = v, [w.copy() for w in ws]
         return v
@@ -314,15 +315,15 @@ def sup_ascent(eps, spec: ClassSpec, data: Dataset, restarts: int = 8,
                 if trainable[j]:
                     g = grads[j] if masks[j] is None else grads[j] * masks[j]
                     ws[j] = _enforce(ws[j] + lr * g, norm_cons[j], masks[j])
-        consider(ws)
+        current = consider(ws)  # the objective at ws from here on
         if last_trainable is not None:
             # negating the output-side trainable layer is always feasible and,
             # with a linear tail, exactly flips the function's sign; rescues
             # wrong-sign basins cheaply
             flipped = list(ws)
             flipped[last_trainable] = -flipped[last_trainable]
-            if consider(flipped) > objective(ws):
-                ws = flipped
+            if (v := consider(flipped)) > current:
+                ws, current = flipped, v
         # support-point refinement: jump to each ball's maximiser of the
         # linearised objective; exact for single-layer linear classes
         for _ in range(4):
@@ -339,8 +340,8 @@ def sup_ascent(eps, spec: ClassSpec, data: Dataset, restarts: int = 8,
                     cand.append(_enforce(cj, norm_cons[j], masks[j]))
                 else:
                     cand.append(ws[j])
-            if consider(cand) > objective(ws):
-                ws = cand
+            if (v := consider(cand)) > current:
+                ws, current = cand, v
             else:
                 break
 

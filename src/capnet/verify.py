@@ -1,7 +1,7 @@
 """Randomized property suites, runnable from the CLI and reused by tests.
 
 Each suite returns a list of check results; any failure makes the CLI exit
-nonzero.  Sizes default to the canonical desk-scale settings.
+nonzero.  Sizes and seeds are fixed at the canonical desk-scale settings.
 """
 
 from __future__ import annotations
@@ -48,15 +48,15 @@ def random_net(rng: np.random.Generator, depth: int | None = None,
     return Network(layers=tuple(layers), input_dim=dims[0])
 
 
-def suite_norms(count: int = 200, max_side: int = 16, seed: int = 20240) -> list[CheckResult]:
+def suite_norms() -> list[CheckResult]:
     """Schatten monotonicity, unitary invariance and SVD reconstruction."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(20240)
     ps = [1.0, 1.5, 2.0, 4.0, 8.0]
 
     def run():
-        for i in range(count):
-            rows = int(rng.integers(1, max_side + 1))
-            cols = int(rng.integers(1, max_side + 1))
+        for i in range(200):
+            rows = int(rng.integers(1, 17))
+            cols = int(rng.integers(1, 17))
             w = rng.standard_normal((rows, cols)) * rng.uniform(0.2, 5.0)
             res = matlin.svd(w)
             if np.abs(res.reconstruct() - w).max() > 1e-10 * max(
@@ -78,41 +78,41 @@ def suite_norms(count: int = 200, max_side: int = 16, seed: int = 20240) -> list
                 after = matlin.matrix_norm(q @ w @ u, matlin.schatten(p))
                 if abs(after - before) > 1e-8 * max(1.0, before):
                     raise VerificationError(f"matrix {i}: not unitarily invariant at p={p}")
-        return f"{count} matrices up to {max_side}x{max_side}"
+        return "200 matrices up to 16x16"
 
     return [_result("norms: monotonicity, invariance, reconstruction", run)]
 
 
-def suite_contraction(instances: int = 50, seed: int = 20241) -> list[CheckResult]:
+def suite_contraction() -> list[CheckResult]:
     """Both contraction harnesses on random small instances."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(20241)
     out = []
     for name, checker, tags in (
         ("frobenius", rademacher.check_contraction_frobenius, ("relu", "identity")),
         ("l1inf", rademacher.check_contraction_l1inf, ("relu", "identity", "clip1")),
     ):
         def run(checker=checker, tags=tags):
-            for i in range(instances):
+            for i in range(50):
                 k = int(rng.integers(1, 4))
                 m = int(rng.integers(3, 9))
                 dim = int(rng.integers(2, 4))
                 f = rng.standard_normal((k, m, dim))
                 checker(
                     f, R=float(rng.uniform(0.5, 2.0)), lam=float(rng.uniform(0.1, 0.8)),
-                    direction_samples=48, seed=seed + i,
+                    direction_samples=48, seed=20241 + i,
                     activation=tags[i % len(tags)],
                 )
-            return f"{instances} instances"
+            return "50 instances"
 
         out.append(_result(f"contraction ({name}): lhs <= rhs", run))
     return out
 
 
-def suite_union(instances: int = 50, seed: int = 20242) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+def suite_union() -> list[CheckResult]:
+    rng = np.random.default_rng(20242)
 
     def run():
-        for _ in range(instances):
+        for _ in range(50):
             m = int(rng.integers(2, 11))
             r = int(rng.integers(1, 9))
             a = float(rng.uniform(0.5, 3.0))
@@ -121,12 +121,12 @@ def suite_union(instances: int = 50, seed: int = 20242) -> list[CheckResult]:
                 for _ in range(r)
             ]
             rademacher.check_union_bound(classes, A=a, m=m)
-        return f"{instances} instances"
+        return "50 instances"
 
     return [_result("union: pooled complexity within 2*sqrt(2) A sqrt(ln r / m)", run)]
 
 
-def suite_cover(trials: int = 200, seed: int = 20243) -> list[CheckResult]:
+def suite_cover() -> list[CheckResult]:
     out = []
     for eps in (0.5, 0.25):
         def run(eps=eps):
@@ -134,26 +134,25 @@ def suite_cover(trials: int = 200, seed: int = 20243) -> list[CheckResult]:
             cap = 3 ** (math.floor(2.0 / eps) + 1)
             if cover.n_members > cap:
                 raise VerificationError(f"member count {cover.n_members} over cap {cap}")
-            worst = rademacher.verify_cover(cover, trials=trials, seed=seed)
+            worst = rademacher.verify_cover(cover, trials=200, seed=20243)
             return f"{cover.n_members} members, worst distance {worst:.6f}"
 
         out.append(_result(f"cover eps={eps}: size cap and covering radius", run))
     return out
 
 
-def suite_certificate(nets: int = 100, samples: int = 1000,
-                      seed: int = 20244) -> list[CheckResult]:
+def suite_certificate() -> list[CheckResult]:
     """Replacement certificates are sound; the factored form matches."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(20244)
 
     def run_cert():
-        for i in range(nets):
+        for i in range(100):
             net = random_net(rng, depth=int(rng.integers(1, 9)), max_width=8)
             r = int(rng.integers(1, net.depth + 1))
             compressed, cert = compress.rank1_replace(net, p=2.0, r=r, B=1.0)
             compress.verify_certificate(net, compressed, cert, B=1.0,
-                                        samples=samples, seed=seed + i)
-        return f"{nets} networks, {samples} samples each"
+                                        samples=1000, seed=20244 + i)
+        return "100 networks, 1000 samples each"
 
     def run_factor():
         for i in range(50):
@@ -175,10 +174,10 @@ def suite_certificate(nets: int = 100, samples: int = 1000,
     ]
 
 
-def suite_lowerbound(seed: int = 20245) -> list[CheckResult]:
+def suite_lowerbound() -> list[CheckResult]:
     def run():
         rows = lowerbound.demonstrate_lower_bound(
-            h_grid=(2, 4, 8), m_grid=(8, 16), p_grid=(1.0, 2.0, math.inf), seed=seed,
+            h_grid=(2, 4, 8), m_grid=(8, 16), p_grid=(1.0, 2.0, math.inf), seed=20245,
         )
         return f"{len(rows)} grid points, ratios in [0.2, 2.0]"
 

@@ -7,6 +7,7 @@ import pytest
 from capnet import bounds
 from capnet.errors import DegenerateLayerError
 from capnet.network import Dataset, profile
+from capnet.verify import random_net
 from conftest import make_net
 
 mpmath.mp.dps = 50
@@ -391,3 +392,23 @@ class TestReport:
         tweaked = bounds.report_for(net, data, gamma_override=1e-6) \
             .entry("frobenius-depth-free").value
         assert tweaked >= base
+
+
+class TestSingleOwners:
+    def test_depth_free_value_is_min_of_its_branches(self, rng):
+        net = random_net(rng, depth=5, max_width=6, scalar_output=True)
+        prof = profile(net, 2.0)
+        first, second = bounds.frobenius_depth_free_branches(prof, 16)
+        got = bounds.bound_frobenius_depth_free(prof, 1.5, 16, 0.5)
+        assert got == (1.5 * prof.frobenius_product / 0.5) * min(first, second)
+        assert second == math.sqrt(5 / 16)
+
+    @pytest.mark.parametrize("p", [math.inf, 0.5, 65.0, math.nan])
+    def test_schatten_domain_from_matlin(self, p, rng):
+        prof = profile(random_net(rng, depth=2, max_width=4, scalar_output=True), 2.0)
+        with pytest.raises(ValueError, match="schatten exponent"):
+            bounds.bound_schatten_depth_free(prof, 1.0, 16, 1.0, 4, p)
+
+    def test_csv_text_formats_floats_at_17_digits(self):
+        text = bounds.csv_text(["a", "b", "c"], [["x,y", 0.1, 3], ["z", np.float64(1 / 3), None]])
+        assert text == 'a,b,c\n"x,y",0.10000000000000001,3\nz,0.33333333333333331,None\n'

@@ -321,3 +321,60 @@ class TestDeterminism:
                  "--steps", "20", "--restarts", "1", "--out", str(out)], capsys)
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestBadArgumentsExit2:
+    """Arguments outside a command's domain exit 2 with a message, not a
+    traceback, a false verification failure or a nan that passes."""
+
+    @pytest.mark.parametrize("argv, words", [
+        (["sweep", "--dim", "0", "--depths", "2"], "dimension"),
+        (["sweep", "--product", "-1", "--depths", "2,3"], "--product"),
+        (["sweep", "--product", "nan", "--depths", "2"], "--product"),
+        (["sweep", "--product", "inf", "--depths", "2"], "--product"),
+    ])
+    def test_sweep(self, argv, words, capsys):
+        code, stdout, err = run(argv, capsys)
+        assert code == 2 and words in err and "Traceback" not in err
+        assert stdout == ""
+
+    @pytest.mark.parametrize("extra, words", [
+        (["--B", "nan"], "domain radius"),
+        (["--B", "-1"], "domain radius"),
+        (["--B", "inf"], "domain radius"),
+        (["--B", "1", "--override-M", "0"], "override of M"),
+        (["--B", "1", "--override-Gamma", "-2"], "override of Gamma"),
+        (["--B", "1", "--override-Gamma", "nan"], "override of Gamma"),
+    ])
+    def test_compress(self, extra, words, inputs, capsys):
+        net_path, _, _, _ = inputs
+        code, stdout, err = run(["compress", "--network", net_path, "--r", "1"] + extra,
+                                capsys)
+        assert code == 2 and words in err and "verification failed" not in err
+        assert stdout == ""
+
+
+class TestSamplesAsGiven:
+    def test_rademacher_zero_samples_is_refused(self, inputs, capsys, tmp_path, rng):
+        _, data_path, _, _ = inputs
+        net_path = tmp_path / "scalar.json"
+        save_network(make_net([rng.standard_normal((2, 2)), rng.standard_normal((1, 2))]),
+                     str(net_path))
+        code, _, err = run(["rademacher", "--network", str(net_path), "--data", data_path,
+                            "--samples", "0"], capsys)
+        assert code == 2 and "at least 2" in err
+
+    @pytest.mark.parametrize("samples", ["0", "7"])
+    def test_compress_reports_the_count_used(self, samples, inputs, capsys):
+        net_path, data_path, _, _ = inputs
+        code, stdout, _ = run(["compress", "--network", net_path, "--data", data_path,
+                               "--r", "1", "--samples", samples], capsys)
+        assert code == 0 and f"({samples} samples, seed 42)" in stdout
+
+    def test_defaults(self):
+        from capnet.cli import build_parser
+        parser = build_parser()
+        base = {"compress": ["--network", "n", "--r", "1"], "rademacher": ["--network", "n"],
+                "lowerbound": [], "sweep": []}
+        got = {cmd: parser.parse_args([cmd] + rest).samples for cmd, rest in base.items()}
+        assert got == {"compress": 1000, "rademacher": 32, "lowerbound": 0, "sweep": 0}

@@ -191,3 +191,41 @@ class TestFactorCompressed:
         net = make_net([rng.standard_normal((3, 3)), np.ones((1, 3))])
         with pytest.raises(ValueError, match="not rank 1"):
             compress.factor_compressed(net, 1)
+
+
+class TestDomainChecks:
+    @pytest.mark.parametrize("B", [math.nan, -1.0, math.inf])
+    def test_bad_radius_rejected(self, B, rng):
+        net = random_net(rng, depth=2, max_width=4)
+        with pytest.raises(ValueError, match="domain radius"):
+            compress.rank1_replace(net, p=2.0, r=2, B=B)
+        compressed, cert = compress.rank1_replace(net, p=2.0, r=2, B=1.0)
+        with pytest.raises(ValueError, match="domain radius"):
+            compress.verify_certificate(net, compressed, cert, B=B, samples=10, seed=0)
+
+    @pytest.mark.parametrize("override", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_overrides_rejected(self, override, rng):
+        net = random_net(rng, depth=2, max_width=4)
+        for kw in ("gamma_override", "schatten_override"):
+            with pytest.raises(ValueError, match="must be finite and > 0"):
+                compress.rank1_replace(net, p=2.0, r=2, B=1.0, **{kw: override})
+
+    def test_zero_radius_certifies_zero(self, rng):
+        net = random_net(rng, depth=2, max_width=4)
+        compressed, cert = compress.rank1_replace(net, p=2.0, r=2, B=0.0)
+        assert compress.verify_certificate(net, compressed, cert, B=0.0,
+                                           samples=10, seed=0) == 0.0
+
+    def test_nan_bound_fails_the_check(self, rng):
+        import dataclasses
+        net = random_net(rng, depth=2, max_width=4)
+        compressed, cert = compress.rank1_replace(net, p=2.0, r=2, B=1.0)
+        fake = dataclasses.replace(cert, degenerate_zero=True, lemma_bound=math.nan)
+        with pytest.raises(VerificationError, match="lemma"):
+            compress.verify_certificate(net, compressed, fake, B=1.0, samples=10, seed=0)
+
+    @pytest.mark.parametrize("p", [math.inf, 0.5, 65.0, math.nan])
+    def test_schatten_domain_from_matlin(self, p, rng):
+        net = random_net(rng, depth=2, max_width=4)
+        with pytest.raises(ValueError, match="schatten exponent"):
+            compress.rank1_replace(net, p=p, r=1, B=1.0)

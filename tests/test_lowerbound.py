@@ -97,8 +97,7 @@ class TestExactDiag:
     def test_monte_carlo_mode_agrees(self):
         cons, _ = lowerbound.build_diag(2, 10, 2.0, 1.0, 1.0, (1.0,))
         exact = lowerbound.exact_diag_rademacher(cons).value
-        mc = lowerbound.exact_diag_rademacher(cons, mode="monte-carlo",
-                                              samples=4000, seed=1)
+        mc = lowerbound.exact_diag_rademacher(cons, samples=4000, seed=1)
         assert abs(mc.value - exact) <= 4 * mc.std_error
 
 
@@ -144,3 +143,21 @@ class TestDemonstration:
         b = lowerbound.demonstrate_lower_bound((2,), (8,), (2.0,), B=2.0)
         assert b[0]["ratio"] == pytest.approx(a[0]["ratio"], rel=1e-12)
         assert b[0]["diag_value"] == pytest.approx(2 * a[0]["diag_value"], rel=1e-12)
+
+
+class TestSamplesSelectTheEstimator:
+    def test_zero_enumerates_and_two_or_more_sample(self):
+        cons, _ = lowerbound.build_diag(2, 6, 2.0, 1.0, 1.0, (1.0,))
+        assert lowerbound.diag_witness_rademacher(cons).method == "exact-enumeration"
+        assert lowerbound.diag_witness_rademacher(cons, samples=2).method == "monte-carlo"
+
+    @pytest.mark.parametrize("samples", [1, -3])
+    def test_fewer_than_two_samples_refused(self, samples):
+        chain = lowerbound.ScalarChainConstruction(m=4, B=1.0, gamma=1.0, budgets=(1.0,))
+        with pytest.raises(ValueError, match="samples >= 2"):
+            lowerbound.exact_scalar_chain_rademacher(chain, samples=samples)
+
+    def test_cap_refusal_mentions_monte_carlo(self):
+        chain = lowerbound.ScalarChainConstruction(m=23, B=1.0, gamma=1.0, budgets=(1.0,))
+        with pytest.raises(ValueError, match="cap 22; use monte-carlo"):
+            lowerbound.exact_scalar_chain_rademacher(chain)

@@ -275,3 +275,15 @@ class TestSerialization:
         path.write_text("{", encoding="utf-8")
         with pytest.raises(ParseError, match="broken.json"):
             load_network(str(path))
+
+
+class TestSpherePoints:
+    @pytest.mark.parametrize("dim, count", [(0, 3), (-1, 3), (2, -1)])
+    def test_bad_sizes_rejected(self, dim, count):
+        from capnet.network import sphere_points as draw
+        with pytest.raises(ValueError, match="dimension >= 1 and count >= 0"):
+            draw(dim, count, seed=0)
+
+    def test_zero_count_is_empty(self):
+        from capnet.network import sphere_points as draw
+        assert draw(3, 0, seed=0).shape == (0, 3)

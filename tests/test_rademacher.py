@@ -483,3 +483,11 @@ class TestLipschitzCover:
     def test_grid_size_refusal(self):
         with pytest.raises(ValueError, match="increase eps"):
             rademacher.build_lipschitz_cover(1.0, 0.05)
+
+
+class TestClassSpecDefaults:
+    def test_none_becomes_one_entry_per_layer(self, rng):
+        net = make_net([rng.standard_normal((3, 2)), rng.standard_normal((1, 3))])
+        cons = tuple((matlin.BallConstraint(matlin.FROBENIUS, 1.0),) for _ in net.layers)
+        spec = rademacher.ClassSpec(template=net, constraints=cons)
+        assert spec.masks == (None, None) and spec.trainable == (True, True)
