@@ -114,9 +114,11 @@ def build_parser() -> _Parser:
     sp.add_argument("--family", choices=("ultrathin", "random"), default="ultrathin")
     sp.add_argument("--product", type=float, default=1.0,
                     help="pinned Frobenius-norm product")
-    sp.add_argument("--m", type=int, default=16, help="synthesised sample count")
-    sp.add_argument("--B", type=float, default=1.0, help="synthesised data radius")
-    sp.add_argument("--dim", type=int, default=4, help="synthesised input dimension")
+    # None marks a flag as not given: --data excludes all three
+    sp.add_argument("--m", type=int, default=None, help="synthesised sample count (default 16)")
+    sp.add_argument("--B", type=float, default=None, help="synthesised data radius (default 1)")
+    sp.add_argument("--dim", type=int, default=None,
+                    help="synthesised input dimension (default 4)")
 
     sp = command("verify", cmd_verify, "", "run property suites")
     sp.add_argument("--suite", choices=tuple(verify.SUITES) + ("all",), default="all")
@@ -150,6 +152,8 @@ def cmd_report(args) -> int:
 def cmd_compress(args) -> int:
     net = load_network(args.network)
     if args.data:
+        if args.B is not None:
+            raise ParseError("compress takes the domain radius from --data or --B, not both")
         B = load_dataset(args.data).radius
         b_source = "dataset"
     elif args.B is not None:
@@ -181,13 +185,13 @@ def cmd_compress(args) -> int:
 def _ball_class(net: Network, p: float) -> rademacher.ClassSpec:
     """The norm-ball class induced by a network's own per-layer norms."""
     kind = matlin.schatten(p)
-    cons = []
+    balls = []
     for layer in net.layers:
         radius = matlin.matrix_norm(layer.weight, kind)
         if radius <= 0:
             raise ShapeError("a zero layer induces an empty ball class")
-        cons.append((matlin.BallConstraint(kind, radius),))
-    return rademacher.ClassSpec(template=net, constraints=tuple(cons))
+        balls.append(matlin.BallConstraint(kind, radius))
+    return rademacher.ClassSpec(template=net, balls=tuple(balls))
 
 
 def cmd_rademacher(args) -> int:
@@ -258,9 +262,16 @@ def cmd_sweep(args) -> int:
     if not 0.0 < args.product < math.inf:
         raise ParseError(f"--product must be finite and > 0, got {args.product}")
     if args.data:
+        given = [f"--{k}" for k in ("m", "B", "dim") if getattr(args, k) is not None]
+        if given:
+            raise ParseError(f"{' '.join(given)} synthesise data and cannot be used with --data")
         data = load_dataset(args.data)
     else:
-        data = Dataset(points=args.B * sphere_points(args.dim, args.m, args.seed, (2,)))
+        B = 1.0 if args.B is None else args.B
+        compress._check_radius(B)
+        data = Dataset(points=B * sphere_points(4 if args.dim is None else args.dim,
+                                                16 if args.m is None else args.m,
+                                                args.seed, (2,)))
     B, m = data.radius, data.m
     rows = []
     active_plateau = []

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import matlin
 from .errors import DegenerateLayerError, VerificationError
-from .network import (Layer, Network, NormProfile, activation_batch, forward_batch,
-                      lipschitz_product, profile, sphere_points)
+from .network import (Layer, Network, NormProfile, _run_layers, activation_batch,
+                      forward_batch, lipschitz_product, profile, sphere_points)
 
 # a layer whose second singular value is this far below its first is treated
 # as already rank-1 and kept verbatim
@@ -193,11 +193,8 @@ class ChainDescriptor:
         a = t * self.direction[None, :]
         if self.head_activation is not None:
             a = activation_batch(self.head_activation, a)
-        for layer in self.tail:
-            a = a @ layer.weight.T
-            if layer.activation is not None:
-                a = activation_batch(layer.activation, a)
-        return a
+        return _run_layers([l.weight for l in self.tail], [l.activation for l in self.tail],
+                           a)[0]
 
     def __call__(self, t: float) -> np.ndarray:
         return self.batch(np.asarray([t]))[0]

@@ -23,7 +23,8 @@ from . import matlin
 from .bounds import bound_lower
 from .errors import VerificationError
 from .network import Dataset, Layer, Network, _rng
-from .rademacher import ClassSpec, RademacherEstimate, enumeration_estimate
+from .rademacher import (ClassSpec, RademacherEstimate, enumeration_estimate,
+                         sampled_estimate)
 
 
 def dual_exponent(p: float) -> float:
@@ -147,14 +148,10 @@ def build_diag(h: int, m: int, p: float, B: float, gamma: float,
         last = j == len(scalars) - 1
         layers.append(Layer(weight=np.array([[s]]), activation=None if last else "identity"))
     template = Network(layers=tuple(layers), input_dim=h)
-    spec = ClassSpec(
-        template=template,
-        constraints=(
-            (matlin.BallConstraint(matlin.schatten(p), budgets[0]),),
-        ) + ((),) * (len(layers) - 1),
-        masks=(mask,) + (None,) * (len(layers) - 1),
-        trainable=(True,) + (False,) * (len(layers) - 1),
-    )
+    frozen = (None,) * (len(layers) - 1)
+    spec = ClassSpec(template=template,
+                     balls=(matlin.BallConstraint(matlin.schatten(p), budgets[0]),) + frozen,
+                     masks=(mask,) + frozen)
     return cons, spec
 
 
@@ -196,11 +193,7 @@ def _sign_expectation(fn, cons, samples: int, seed: int) -> RademacherEstimate:
     vals = np.empty(samples)
     for i in range(samples):
         vals[i] = float(fn(_rng(seed, i).choice([-1.0, 1.0], size=(1, m)))[0])
-    return RademacherEstimate(
-        value=scale * float(vals.mean()), method="monte-carlo",
-        epsilon_samples=samples, sup_restarts=0, sup_steps=0,
-        std_error=scale * float(vals.std(ddof=1) / math.sqrt(samples)), seed=seed,
-    )
+    return sampled_estimate(vals, seed, scale)
 
 
 def demonstrate_lower_bound(h_grid, m_grid, p_grid, seed: int = 0, B: float = 1.0,

@@ -119,6 +119,18 @@ class Network:
         return self.layers[-1].weight.shape[0]
 
 
+def _run_layers(weights, acts, a):
+    """Apply each matrix then its activation (None applies none) to the rows
+    of a; returns the output and every layer's input and pre-activation."""
+    inputs, preacts = [], []
+    for w, act in zip(weights, acts):
+        inputs.append(a)
+        z = a @ w.T
+        preacts.append(z)
+        a = z if act is None else activation_batch(act, z)
+    return a, inputs, preacts
+
+
 def sub_forward_batch(net: Network, b: int, r: int, x: np.ndarray) -> np.ndarray:
     """Evaluate layers b..r (1-based, inclusive) on a batch of inputs.
 
@@ -129,15 +141,12 @@ def sub_forward_batch(net: Network, b: int, r: int, x: np.ndarray) -> np.ndarray
     if not (1 <= b <= r <= d):
         raise ShapeError(f"layer range [{b}, {r}] out of bounds for depth {d}")
     a = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    for j in range(b, r + 1):
-        layer = net.layers[j - 1]
-        if a.shape[1] != layer.weight.shape[1]:
-            raise ShapeError(
-                f"layer {j} expects input dimension {layer.weight.shape[1]}, got {a.shape[1]}"
-            )
-        z = a @ layer.weight.T
-        a = z if j == r else activation_batch(layer.activation, z)
-    return a
+    cols = net.layers[b - 1].weight.shape[1]
+    if a.shape[1] != cols:
+        raise ShapeError(f"layer {b} expects input dimension {cols}, got {a.shape[1]}")
+    layers = net.layers[b - 1:r]
+    acts = [l.activation for l in layers[:-1]] + [None]
+    return _run_layers([l.weight for l in layers], acts, a)[0]
 
 
 def sub_forward(net: Network, b: int, r: int, x) -> np.ndarray:
@@ -305,7 +314,7 @@ def network_from_obj(obj) -> Network:
             raise ParseError(f"{where}: data must hold exactly rows*cols = {rows * cols} numbers")
         try:
             w = matlin.as_matrix(np.reshape([float(v) for v in data], (rows, cols)))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"{where}: {exc}") from exc
         act = None if is_last else entry["activation"]
         if not is_last and act not in ACTIVATION_TAGS:
@@ -338,7 +347,7 @@ def dataset_from_obj(obj) -> Dataset:
             raise ParseError(f"dataset point {i}: length {len(row)} differs from {width}")
     try:
         return Dataset(points=np.asarray(pts, dtype=np.float64))
-    except (ParseError, ValueError) as exc:
+    except (ParseError, ValueError, OverflowError) as exc:
         raise ParseError(f"dataset: {exc}") from exc
 
 

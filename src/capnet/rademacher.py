@@ -20,7 +20,7 @@ import numpy as np
 
 from . import matlin
 from .errors import VerificationError
-from .network import Dataset, Network, _rng, activation_batch
+from .network import Dataset, Network, _rng, _run_layers
 
 ENUM_CAP = 22           # exact enumeration of sign vectors caps at 2^22
 CONTRACTION_CAP = 14    # sign-enumeration cap inside the contraction harnesses
@@ -49,35 +49,26 @@ class ClassSpec:
     """A norm-ball-constrained network class over a fixed template.
 
     template fixes shapes and activation tags (output must be scalar);
-    constraints lists the enforced balls per layer.  masks optionally pin a
-    sparsity pattern (entries off the mask stay zero); trainable marks which
-    layers are optimised at all (others stay at the template weights, e.g.
-    the fixed scalar tail of the lower-bound construction).  Left as None,
-    they become no mask and all trainable, one entry per layer.
+    balls holds each layer's ball, or None for a layer frozen at its
+    template weights (e.g. the fixed scalar tail of the lower-bound
+    construction).  masks optionally pin a sparsity pattern (entries off the
+    mask stay zero); left as None, it becomes no mask on every layer.
     """
 
     template: Network
-    constraints: tuple[tuple[matlin.BallConstraint, ...], ...]
+    balls: tuple[matlin.BallConstraint | None, ...]
     masks: tuple[np.ndarray | None, ...] | None = None
-    trainable: tuple[bool, ...] | None = None
 
     def __post_init__(self):
         d = self.template.depth
         if self.template.output_dim != 1:
             raise ValueError("class template must be scalar-valued (final layer has one row)")
-        if len(self.constraints) != d:
-            raise ValueError(f"need one constraint tuple per layer, got {len(self.constraints)}")
+        if len(self.balls) != d:
+            raise ValueError(f"need one ball (or None) per layer, got {len(self.balls)}")
         if self.masks is not None and len(self.masks) != d:
             raise ValueError("masks must align with layers")
-        if self.trainable is not None and len(self.trainable) != d:
-            raise ValueError("trainable flags must align with layers")
         if self.masks is None:
             object.__setattr__(self, "masks", (None,) * d)
-        if self.trainable is None:
-            object.__setattr__(self, "trainable", (True,) * d)
-        for j, tr in enumerate(self.trainable):
-            if tr and not self.constraints[j]:
-                raise ValueError(f"trainable layer {j + 1} needs at least one ball constraint")
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +116,18 @@ def enumeration_estimate(fn, m: int, value, hint: str) -> RademacherEstimate:
     )
 
 
+def sampled_estimate(vals, seed: int, scale: float = 1.0, restarts: int = 0,
+                     steps: int = 0) -> RademacherEstimate:
+    """The Monte Carlo estimate ``scale`` times the mean of the per-sample
+    values vals (at least 2), with the standard error of that mean."""
+    n = len(vals)
+    return RademacherEstimate(
+        value=scale * float(vals.mean()), method="monte-carlo", epsilon_samples=n,
+        sup_restarts=restarts, sup_steps=steps,
+        std_error=scale * float(vals.std(ddof=1) / math.sqrt(n)), seed=seed,
+    )
+
+
 def exact_rademacher(values) -> RademacherEstimate:
     """Exact complexity of a finite class given its m x K evaluation matrix.
 
@@ -143,18 +146,6 @@ def exact_rademacher(values) -> RademacherEstimate:
 # ---------------------------------------------------------------------------
 # Constrained-ascent inner supremum
 # ---------------------------------------------------------------------------
-
-def _forward_cached(weights, acts, x):
-    """Forward pass keeping inputs and pre-activations of every layer."""
-    a = x
-    inputs, preacts = [], []
-    for w, act in zip(weights, acts):
-        inputs.append(a)
-        z = a @ w.T
-        preacts.append(z)
-        a = z if act is None else activation_batch(act, z)
-    return a[:, 0], inputs, preacts
-
 
 def _backward(weights, acts, inputs, preacts, g_out):
     """Gradients of sum_i g_out_i * y_i with respect to every weight matrix.
@@ -181,31 +172,25 @@ def _backward(weights, acts, inputs, preacts, g_out):
     return grads
 
 
-def _enforce(w, constraints, mask):
-    """Projection onto all of the layer's balls (and its mask).
+def _enforce(w, c, mask):
+    """Projection onto the layer's ball c (and its mask).
 
-    A single ball without a mask takes one projection, which shares its SVD
-    with the norm check and lands in the ball.  Masking can raise a Schatten
-    norm, so other layers cycle through their balls until a pass changes
+    Without a mask this is one projection, which shares its SVD with the
+    norm check and lands in the ball.  Masking can raise a Schatten norm, so
+    a masked layer alternates projection and mask until a projection changes
     nothing; a final uniform scale-down guarantees strict feasibility even
-    when the alternating passes have not fully converged, so every candidate
-    the ascent evaluates really is in the class.
+    when the alternating rounds have not converged, so every candidate the
+    ascent evaluates really is in the class.
     """
-    if mask is None and len(constraints) == 1:
-        return matlin.project_to_ball(w, constraints[0])
-    if mask is not None:
-        w = w * mask
+    if mask is None:
+        return matlin.project_to_ball(w, c)
+    w = w * mask
     for _ in range(8):
-        ok = True
-        for c in constraints:
-            out = matlin.project_to_ball(w, c)
-            if out is not w:
-                w = out if mask is None else out * mask
-                ok = False
-        if ok:
+        out = matlin.project_to_ball(w, c)
+        if out is w:
             return w
-    worst = max((matlin.matrix_norm(w, c.kind) / c.radius for c in constraints),
-                default=1.0)
+        w = out * mask
+    worst = matlin.matrix_norm(w, c.kind) / c.radius
     return w / worst if worst > 1.0 else w
 
 
@@ -225,10 +210,10 @@ def sup_ascent(eps, spec: ClassSpec, data: Dataset, restarts: int = 8,
     candidate is feasible, so the returned value is a certified lower bound
     on the true supremum, and it is deterministic for a fixed seed.
 
-    Positive homogeneity of the activations lets the ascent run with the
-    leading radius of every trainable layer normalised to 1; the result is
-    rescaled by the radius product, which makes the value exactly
-    proportional to each layer's budget.
+    Positive homogeneity of the activations lets the ascent run with each
+    ball's radius normalised to 1; the result is rescaled by the radius
+    product, which makes the value exactly proportional to each layer's
+    budget.
     """
     eps = np.asarray(eps, dtype=np.float64)
     if eps.shape != (data.m,) or not np.all(np.abs(eps) == 1.0):
@@ -237,118 +222,93 @@ def sup_ascent(eps, spec: ClassSpec, data: Dataset, restarts: int = 8,
         raise ValueError("data dimension does not match the class template")
     x = data.points
     m = data.m
-    d = spec.template.depth
     acts = [l.activation for l in spec.template.layers]
-    masks, trainable = spec.masks, spec.trainable
-    if restarts < 1 and not any(trainable):
+    masks = spec.masks
+    trained = [j for j, c in enumerate(spec.balls) if c is not None]
+    if restarts < 1 and not trained:
         raise ValueError("a class with no trainable layer needs restarts >= 1")
 
-    # normalise leading radii to 1
+    # normalise every radius to 1
     multiplier = 1.0
-    norm_cons: list[tuple[matlin.BallConstraint, ...]] = []
-    base_weights: list[np.ndarray] = []
-    for j in range(d):
-        w = spec.template.layers[j].weight
-        if trainable[j]:
-            r0 = spec.constraints[j][0].radius
-            multiplier *= r0
-            norm_cons.append(tuple(
-                matlin.BallConstraint(c.kind, c.radius / r0) for c in spec.constraints[j]
-            ))
-            base_weights.append(w / r0)
-        else:
-            norm_cons.append(())
-            base_weights.append(w)
+    balls = [None if c is None else matlin.BallConstraint(c.kind, 1.0) for c in spec.balls]
+    base_weights = [l.weight for l in spec.template.layers]
+    for j in trained:
+        multiplier *= spec.balls[j].radius
+        base_weights[j] = base_weights[j] / spec.balls[j].radius
+
+    g_out = eps / m
 
     def feasible(ws):
-        return [
-            _enforce(w, norm_cons[j], masks[j]) if trainable[j] else w
-            for j, w in enumerate(ws)
-        ]
+        return [w if c is None else _enforce(w, c, mk) for w, c, mk in zip(ws, balls, masks)]
+
+    def masked_grads(ws, inputs, preacts):
+        grads = _backward(ws, acts, inputs, preacts, g_out)
+        return [g if mk is None else g * mk for g, mk in zip(grads, masks)]
 
     best_val = -math.inf
     best_ws = None
 
     def consider(ws):
-        """The objective at ws, kept as the best when it beats it."""
+        """The objective at ws, kept as the best when it beats it, with the
+        layer inputs and pre-activations of its forward pass."""
         nonlocal best_val, best_ws
-        v = float(eps @ _forward_cached(ws, acts, x)[0]) / m
+        y, inputs, preacts = _run_layers(ws, acts, x)
+        v = float(eps @ y[:, 0]) / m
         if v > best_val:
             best_val, best_ws = v, [w.copy() for w in ws]
-        return v
+        return v, inputs, preacts
 
     # the zero function is in the class whenever some layer is trainable
-    if any(trainable):
+    if trained:
         zero_ws = list(base_weights)
-        j0 = trainable.index(True)
-        zero_ws[j0] = np.zeros_like(zero_ws[j0])
+        zero_ws[trained[0]] = np.zeros_like(zero_ws[trained[0]])
         consider(feasible(zero_ws))
 
     corr = (eps @ x) / m
-    g_out = eps / m
-    last_trainable = max((j for j in range(d) if trainable[j]), default=None)
     for k in range(restarts):
         ws = [w.copy() for w in base_weights]
-        if k == 0 and trainable[0]:
+        if k == 0 and balls[0] is not None:
             # deterministic restart at the sign-weighted data correlation
             w1 = np.tile(corr, (ws[0].shape[0], 1))
             if masks[0] is not None:
                 w1 = w1 * masks[0]
-            ws[0] = _scale_to_boundary(w1, norm_cons[0][0])
+            ws[0] = _scale_to_boundary(w1, balls[0])
         else:
             rng = _rng(seed, k)
-            for j in range(d):
-                if trainable[j]:
-                    w = rng.standard_normal(ws[j].shape)
-                    if masks[j] is not None:
-                        w = w * masks[j]
-                    ws[j] = _scale_to_boundary(w, norm_cons[j][0])
+            for j in trained:
+                w = rng.standard_normal(ws[j].shape)
+                if masks[j] is not None:
+                    w = w * masks[j]
+                ws[j] = _scale_to_boundary(w, balls[j])
         ws = feasible(ws)
         for t in range(1, steps + 1):
-            y, inputs, preacts = _forward_cached(ws, acts, x)
-            v = float(eps @ y) / m
-            if v > best_val:
-                best_val, best_ws = v, [w.copy() for w in ws]
-            grads = _backward(ws, acts, inputs, preacts, g_out)
+            grads = masked_grads(ws, *consider(ws)[1:])
             lr = 0.1 / math.sqrt(t)
-            for j in range(d):
-                if trainable[j]:
-                    g = grads[j] if masks[j] is None else grads[j] * masks[j]
-                    ws[j] = _enforce(ws[j] + lr * g, norm_cons[j], masks[j])
-        current = consider(ws)  # the objective at ws from here on
-        if last_trainable is not None:
+            for j in trained:
+                ws[j] = _enforce(ws[j] + lr * grads[j], balls[j], masks[j])
+        current = consider(ws)  # (objective, inputs, pre-activations) at ws from here on
+        if trained:
             # negating the output-side trainable layer is always feasible and,
             # with a linear tail, exactly flips the function's sign; rescues
             # wrong-sign basins cheaply
             flipped = list(ws)
-            flipped[last_trainable] = -flipped[last_trainable]
-            if (v := consider(flipped)) > current:
-                ws, current = flipped, v
+            flipped[trained[-1]] = -flipped[trained[-1]]
+            if (f := consider(flipped))[0] > current[0]:
+                ws, current = flipped, f
         # support-point refinement: jump to each ball's maximiser of the
         # linearised objective; exact for single-layer linear classes
         for _ in range(4):
-            y, inputs, preacts = _forward_cached(ws, acts, x)
-            grads = _backward(ws, acts, inputs, preacts, g_out)
-            cand = []
-            for j in range(d):
-                if trainable[j]:
-                    g = grads[j] if masks[j] is None else grads[j] * masks[j]
-                    if g.any():
-                        cj = matlin.linear_maximizer(g, norm_cons[j][0])
-                    else:
-                        cj = ws[j]
-                    cand.append(_enforce(cj, norm_cons[j], masks[j]))
-                else:
-                    cand.append(ws[j])
-            if (v := consider(cand)) > current:
-                ws, current = cand, v
+            grads = masked_grads(ws, *current[1:])
+            cand = list(ws)
+            for j in trained:
+                cj = matlin.linear_maximizer(grads[j], balls[j]) if grads[j].any() else ws[j]
+                cand[j] = _enforce(cj, balls[j], masks[j])
+            if (c := consider(cand))[0] > current[0]:
+                ws, current = cand, c
             else:
                 break
 
-    out_weights = [
-        best_ws[j] * spec.constraints[j][0].radius if trainable[j] else best_ws[j]
-        for j in range(d)
-    ]
+    out_weights = [w if c is None else w * c.radius for w, c in zip(best_ws, spec.balls)]
     return multiplier * best_val, out_weights
 
 
@@ -365,11 +325,7 @@ def mc_rademacher(spec: ClassSpec, data: Dataset, epsilon_samples: int,
         eps = _rng(seed, i, 0).choice([-1.0, 1.0], size=data.m)
         sub_seed = int(np.random.SeedSequence(entropy=seed, spawn_key=(i, 1)).generate_state(1)[0])
         vals[i], _ = sup_ascent(eps, spec, data, restarts=restarts, steps=steps, seed=sub_seed)
-    return RademacherEstimate(
-        value=float(vals.mean()), method="monte-carlo", epsilon_samples=epsilon_samples,
-        sup_restarts=restarts, sup_steps=steps,
-        std_error=float(vals.std(ddof=1) / math.sqrt(epsilon_samples)), seed=seed,
-    )
+    return sampled_estimate(vals, seed, restarts=restarts, steps=steps)
 
 
 # ---------------------------------------------------------------------------

@@ -144,7 +144,7 @@ def test_criterion_06_estimator_consistency():
         tpl = Network(layers=(Layer(np.full((1, 3), 0.1), None),), input_dim=3)
         spec = rademacher.ClassSpec(
             template=tpl,
-            constraints=((matlin.BallConstraint(matlin.FROBENIUS, 1.0),),))
+            balls=(matlin.BallConstraint(matlin.FROBENIUS, 1.0),))
         est = rademacher.mc_rademacher(spec, data, epsilon_samples=64,
                                        restarts=2, steps=60, seed=106)
         exact = enumerate_linear_class_value(pts)
@@ -160,8 +160,7 @@ def test_criterion_06_estimator_consistency():
         tpl2 = make_net(scaled)
         spec2 = rademacher.ClassSpec(
             template=tpl2,
-            constraints=tuple((matlin.BallConstraint(matlin.FROBENIUS, r),)
-                              for r in radii))
+            balls=tuple(matlin.BallConstraint(matlin.FROBENIUS, r) for r in radii))
         est2 = rademacher.mc_rademacher(spec2, relu_data, epsilon_samples=24,
                                         restarts=3, steps=120, seed=206)
         cap = bounds.bound_frobenius_sqrt_depth(profile(tpl2, 2.0), relu_data)

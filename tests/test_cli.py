@@ -87,6 +87,21 @@ class TestReport:
                            capsys)
         assert code == 2 and "does not match" in err
 
+    @pytest.mark.parametrize("kind", ["network", "data"])
+    def test_integer_too_large_for_a_float_exit_2(self, kind, inputs, capsys, tmp_path):
+        net_path, data_path, _, _ = inputs
+        paths = {"network": net_path, "data": data_path}
+        huge = tmp_path / "huge.json"
+        if kind == "network":
+            obj = {"input_dim": 2, "layers": [{"rows": 1, "cols": 2, "data": [10 ** 400, 1]}]}
+        else:
+            obj = {"points": [[10 ** 400, 0.0], [0.0, 1.0]]}
+        huge.write_text(json.dumps(obj))
+        paths[kind] = str(huge)
+        code, _, err = run(["report", "--network", paths["network"],
+                            "--data", paths["data"]], capsys)
+        assert code == 2 and "huge.json" in err and "too large" in err
+
     def test_zero_layer_network_exit_2(self, inputs, capsys, tmp_path):
         _, data_path, _, _ = inputs
         zero_net = make_net([np.zeros((2, 2)), np.eye(2)])
@@ -264,6 +279,19 @@ class TestFlags:
         assert code == 1 and not out
         assert "unrecognized arguments" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--m", "5"],
+        ["sweep", "--dim", "9"],
+        ["sweep", "--B", "7"],
+        ["compress", "--network", "NET", "--r", "1", "--B", "2"],
+    ])
+    def test_flag_that_data_overrides_is_refused(self, argv, inputs, capsys):
+        net_path, data_path, _, _ = inputs
+        argv = [net_path if a == "NET" else a for a in argv]
+        code, out, err = run(argv + ["--data", data_path], capsys)
+        assert code == 2 and not out
+        assert "--data" in err
+
 
 class TestOptimizedMode:
     def test_certified_inequalities_survive_python_O(self, inputs):
@@ -332,6 +360,9 @@ class TestBadArgumentsExit2:
         (["sweep", "--product", "-1", "--depths", "2,3"], "--product"),
         (["sweep", "--product", "nan", "--depths", "2"], "--product"),
         (["sweep", "--product", "inf", "--depths", "2"], "--product"),
+        (["sweep", "--B", "-1", "--depths", "2"], "radius B"),
+        (["sweep", "--B", "nan", "--depths", "2"], "radius B"),
+        (["sweep", "--B", "inf", "--depths", "2"], "radius B"),
     ])
     def test_sweep(self, argv, words, capsys):
         code, stdout, err = run(argv, capsys)

@@ -1,4 +1,9 @@
 import math
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -229,3 +234,14 @@ class TestDomainChecks:
         net = random_net(rng, depth=2, max_width=4)
         with pytest.raises(ValueError, match="schatten exponent"):
             compress.rank1_replace(net, p=p, r=1, B=1.0)
+
+
+def test_compress_demo_script_runs(tmp_path):
+    # a copy, so that the inputs it writes next to itself land in tmp_path
+    root = pathlib.Path(__file__).resolve().parents[1]
+    script = shutil.copy(root / "scripts" / "compress_demo.py", tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "factored-path max error on 5 points:" in proc.stdout

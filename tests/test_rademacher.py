@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from capnet import cli, matlin, rademacher, verify
+from capnet import cli, lowerbound, matlin, rademacher, verify
 from capnet.network import Dataset, Layer, Network
 from conftest import make_net, sphere_points
 from oracles import all_signs, enumerate_linear_class_value, sign_mean_by_chunks
@@ -12,8 +12,7 @@ from oracles import all_signs, enumerate_linear_class_value, sign_mean_by_chunks
 def linear_spec(dim, radius=1.0, kind=None):
     kind = kind or matlin.FROBENIUS
     tpl = Network(layers=(Layer(np.full((1, dim), 0.1), None),), input_dim=dim)
-    return rademacher.ClassSpec(
-        template=tpl, constraints=((matlin.BallConstraint(kind, radius),),))
+    return rademacher.ClassSpec(template=tpl, balls=(matlin.BallConstraint(kind, radius),))
 
 
 class TestExactRademacher:
@@ -88,7 +87,7 @@ class TestSupAscent:
 
     def test_frozen_class_without_restarts_rejected(self):
         tpl = Network(layers=(Layer(np.ones((1, 2)), None),), input_dim=2)
-        spec = rademacher.ClassSpec(template=tpl, constraints=((),), trainable=(False,))
+        spec = rademacher.ClassSpec(template=tpl, balls=(None,))
         data = Dataset(points=np.eye(2))
         eps = np.array([1.0, -1.0])
         with pytest.raises(ValueError, match="no trainable layer"):
@@ -120,9 +119,9 @@ class TestSupAscent:
         eps = rng.choice([-1.0, 1.0], size=6)
 
         def spec(r1, r2):
-            return rademacher.ClassSpec(template=tpl, constraints=(
-                (matlin.BallConstraint(matlin.FROBENIUS, r1),),
-                (matlin.BallConstraint(matlin.FROBENIUS, r2),),
+            return rademacher.ClassSpec(template=tpl, balls=(
+                matlin.BallConstraint(matlin.FROBENIUS, r1),
+                matlin.BallConstraint(matlin.FROBENIUS, r2),
             ))
 
         small, _ = rademacher.sup_ascent(eps, spec(1.0, 1.0), data, restarts=3,
@@ -135,14 +134,51 @@ class TestSupAscent:
     def test_value_nonnegative_with_zero_in_class(self, rng):
         tpl = make_net([rng.standard_normal((2, 2)), rng.standard_normal((1, 2))])
         data = sphere_points(rng, 5, 2)
-        spec = rademacher.ClassSpec(template=tpl, constraints=(
-            (matlin.BallConstraint(matlin.FROBENIUS, 1.0),),
-            (matlin.BallConstraint(matlin.FROBENIUS, 1.0),),
+        spec = rademacher.ClassSpec(template=tpl, balls=(
+            matlin.BallConstraint(matlin.FROBENIUS, 1.0),
+            matlin.BallConstraint(matlin.FROBENIUS, 1.0),
         ))
         for s in range(4):
             eps = np.random.default_rng(s).choice([-1.0, 1.0], size=5)
             val, _ = rademacher.sup_ascent(eps, spec, data, restarts=2, steps=40, seed=s)
             assert val >= 0.0
+
+
+class TestAscentGolden:
+    """Pinned value and weights, compared bit for bit, for two ascent paths
+    that no benchmark output covers: a masked layer with a frozen tail, and
+    a frozen tail after a ReLU layer."""
+
+    def test_masked_diagonal_class_with_frozen_tail(self):
+        cons, spec = lowerbound.build_diag(h=3, m=6, p=1.5, B=2.0, gamma=0.5,
+                                           budgets=(1.3, 0.7))
+        eps = np.random.default_rng(7).choice([-1.0, 1.0], size=6)
+        val, ws = rademacher.sup_ascent(eps, spec, cons.data, restarts=3, steps=40, seed=11)
+        assert val == 1.7499294786396553
+        diag = 0.6249748137998771
+        assert ws[0].tolist() == [[diag, 0.0, 0.0], [0.0, diag, 0.0], [0.0, 0.0, diag],
+                                  [0.0, 0.0, 0.0]]
+        assert ws[1].tolist() == [[1.4]]
+
+    def test_relu_layer_with_frozen_tail(self):
+        rng = np.random.default_rng(3)
+        tpl = Network(layers=(Layer(rng.standard_normal((3, 4)), "relu"),
+                              Layer(rng.standard_normal((1, 3)), None)), input_dim=4)
+        data = Dataset(points=rng.standard_normal((8, 4)))
+        eps = rng.choice([-1.0, 1.0], size=8)
+        spec = rademacher.ClassSpec(
+            template=tpl, balls=(matlin.BallConstraint(matlin.schatten(1.5), 1.2), None))
+        val, ws = rademacher.sup_ascent(eps, spec, data, restarts=3, steps=30, seed=5)
+        assert val == 0.8264111127582668
+        assert ws[0].tolist() == [
+            [-0.06545360721408697, -0.17274445725015378, 0.07219363761258378,
+             -0.17375186389510183],
+            [-0.15544969421808208, -0.4102611635990266, 0.1714569963219975,
+             -0.41265371401107986],
+            [-0.24552612478794508, -0.6479899118241247, 0.2708089719087026,
+             -0.6517688425835968]]
+        assert ws[1].tolist() == [[-0.2812874181513504, -0.6680463461089501,
+                                   -1.0551505512051214]]
 
 
 class TestEnforce:
@@ -181,15 +217,14 @@ class TestEnforce:
             for _ in range(25):
                 w = rng.standard_normal((rng.integers(1, 9), rng.integers(1, 9))) * scale
                 c = matlin.BallConstraint(kind, float(rng.uniform(0.1, 3.0)))
-                out = rademacher._enforce(w, (c,), None)
+                out = rademacher._enforce(w, c, None)
                 assert matlin.matrix_norm(out, kind) <= c.radius * (1 + 1e-12)
 
 
 class TestMcRademacher:
     def test_singleton_class_near_zero(self, rng):
         tpl = make_net([rng.standard_normal((1, 3))], [None])
-        spec = rademacher.ClassSpec(template=tpl, constraints=((),),
-                                    trainable=(False,))
+        spec = rademacher.ClassSpec(template=tpl, balls=(None,))
         data = sphere_points(rng, 9, 3)
         est = rademacher.mc_rademacher(spec, data, epsilon_samples=48, restarts=1,
                                        steps=1, seed=11)
@@ -239,9 +274,9 @@ class TestAscentAgainstAngleGrid:
         r1, r2 = 1.3, 0.8
         tpl = Network(layers=(Layer(np.ones((1, 2)), "relu"),
                               Layer(np.ones((1, 1)), None)), input_dim=2)
-        spec = rademacher.ClassSpec(template=tpl, constraints=(
-            (matlin.BallConstraint(matlin.FROBENIUS, r1),),
-            (matlin.BallConstraint(matlin.FROBENIUS, r2),),
+        spec = rademacher.ClassSpec(template=tpl, balls=(
+            matlin.BallConstraint(matlin.FROBENIUS, r1),
+            matlin.BallConstraint(matlin.FROBENIUS, r2),
         ))
         thetas = np.linspace(0, 2 * np.pi, 2_000_001)
         h = np.maximum(x @ np.stack([np.cos(thetas), np.sin(thetas)], axis=1).T, 0.0)
@@ -272,13 +307,11 @@ class TestUltrathinEquivalence:
                               np.array([[per]])])
         chain_spec = rademacher.ClassSpec(
             template=chain_tpl,
-            constraints=tuple((matlin.BallConstraint(matlin.FROBENIUS, per),)
-                              for _ in range(4)))
+            balls=tuple(matlin.BallConstraint(matlin.FROBENIUS, per) for _ in range(4)))
         glm_tpl = make_net([v[None, :] * (budget / per), np.array([[1.0]])])
         glm_spec = rademacher.ClassSpec(
             template=glm_tpl,
-            constraints=((matlin.BallConstraint(matlin.FROBENIUS, budget),), ()),
-            trainable=(True, False))
+            balls=(matlin.BallConstraint(matlin.FROBENIUS, budget), None))
         a = rademacher.mc_rademacher(chain_spec, data, epsilon_samples=24,
                                      restarts=3, steps=80, seed=31)
         c = rademacher.mc_rademacher(glm_spec, data, epsilon_samples=24,
@@ -298,8 +331,7 @@ class TestBoundConsistency:
         tpl = make_net(scaled)
         spec = rademacher.ClassSpec(
             template=tpl,
-            constraints=tuple((matlin.BallConstraint(matlin.ROWS_L1_MAX, r),)
-                              for r in radii))
+            balls=tuple(matlin.BallConstraint(matlin.ROWS_L1_MAX, r) for r in radii))
         est = rademacher.mc_rademacher(spec, data, epsilon_samples=16,
                                        restarts=3, steps=100, seed=17)
         from capnet import bounds
@@ -488,6 +520,6 @@ class TestLipschitzCover:
 class TestClassSpecDefaults:
     def test_none_becomes_one_entry_per_layer(self, rng):
         net = make_net([rng.standard_normal((3, 2)), rng.standard_normal((1, 3))])
-        cons = tuple((matlin.BallConstraint(matlin.FROBENIUS, 1.0),) for _ in net.layers)
-        spec = rademacher.ClassSpec(template=net, constraints=cons)
-        assert spec.masks == (None, None) and spec.trainable == (True, True)
+        balls = tuple(matlin.BallConstraint(matlin.FROBENIUS, 1.0) for _ in net.layers)
+        spec = rademacher.ClassSpec(template=net, balls=balls)
+        assert spec.masks == (None, None)
