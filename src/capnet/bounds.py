@@ -23,7 +23,8 @@ import numpy as np
 
 from . import matlin
 from .errors import DegenerateLayerError, ShapeError, VerificationError
-from .network import Dataset, ELEMENTWISE_TAGS, Network, NormProfile, profile
+from .network import (Dataset, ELEMENTWISE_TAGS, Network, NormProfile, override_products,
+                      profile)
 
 
 def logbar(z: float) -> float:
@@ -174,14 +175,9 @@ def bound_frobenius_depth_free(prof: NormProfile, B: float, m: int, gamma: float
     _check_gamma(gamma)
     if prof.gamma <= 0.0:
         raise DegenerateLayerError("zero spectral-norm product; depth-free bound undefined")
-    first, second = frobenius_depth_free_branches(prof, m)
-    # consistency knot: the r-scan with alpha = beta = 1/2 can never beat the
-    # closed form by more than its stated factor 3
-    t = tune_r(0.5, 0.5, math.sqrt(logbar(prof.frobenius_product / prof.gamma)),
-               logbar(m) ** 1.5, math.sqrt(m), prof.depth)
-    if not t.value <= 3.0 * min(first, second) * (1.0 + 1e-9):
-        raise VerificationError(f"r-scan {t.value} over 3x closed form {min(first, second)}")
-    return (B * prof.frobenius_product / gamma) * min(first, second)
+    closed = _scan_checked(min(*frobenius_depth_free_branches(prof, m)), 0.5, 0.5,
+                           math.sqrt(logbar(prof.frobenius_product / prof.gamma)), m, prof.depth)
+    return (B * prof.frobenius_product / gamma) * closed
 
 
 def frobenius_depth_free_branches(prof: NormProfile, m: int) -> tuple[float, float]:
@@ -213,11 +209,19 @@ def bound_schatten_depth_free(prof: NormProfile, B: float, m: int, gamma: float,
     e_m = 1.0 / (2.0 + 3.0 * p)
     first = lb ** e_ratio * (logbar(m) ** 1.5) ** e_logm / m ** e_m
     second = prof.depth ** 1.5 / math.sqrt(m)
-    t = tune_r(1.5, 1.0 / p, lb ** (1.0 / p), logbar(m) ** 1.5, math.sqrt(m), prof.depth)
-    if not t.value <= 3.0 * min(first, second) * (1.0 + 1e-9):
-        raise VerificationError(f"r-scan {t.value} over 3x closed form {min(first, second)}")
+    closed = _scan_checked(min(first, second), 1.5, 1.0 / p, lb ** (1.0 / p), m, prof.depth)
     lnh = math.log(h) if h >= 2 else 1.0
-    return (B * prof.ratio_max * lnh * math.log(m) * prof.gamma / gamma) * min(first, second)
+    return (B * prof.ratio_max * lnh * math.log(m) * prof.gamma / gamma) * closed
+
+
+def _scan_checked(closed: float, alpha: float, beta: float, b: float, m: int, d: int) -> float:
+    """closed, a depth-free bound's closed-form branch minimum, once checked
+    against the exhaustive r-scan with c = logbar(m)^(3/2) and n = sqrt(m):
+    the scan can never beat the closed form by more than its stated factor 3."""
+    t = tune_r(alpha, beta, b, logbar(m) ** 1.5, math.sqrt(m), d)
+    if not t.value <= 3.0 * closed * (1.0 + 1e-9):
+        raise VerificationError(f"r-scan {t.value} over 3x closed form {closed}")
+    return closed
 
 
 def bound_lipschitz_cover(prof: NormProfile, B: float, m: int, gamma: float, dim: int) -> float:
@@ -236,10 +240,8 @@ def bound_lower(budgets, B: float, m: int, gamma: float, h: int, p: float) -> fl
     """
     _check_m(m)
     _check_gamma(gamma)
-    inv_p = 0.0 if math.isinf(p) else 1.0 / p
-    expo = max(0.0, 0.5 - inv_p)
     return B * float(np.prod(np.asarray(budgets, dtype=np.float64))) \
-        * h ** expo / (gamma * math.sqrt(m))
+        * h ** max(0.0, 0.5 - 1.0 / p) / (gamma * math.sqrt(m))
 
 
 def _check_m(m: int) -> None:
@@ -357,30 +359,20 @@ def report_for(net: Network, data: Dataset, p: float = 2.0, gamma: float = 1.0,
     """Evaluate every bound formula applicable to the network's activations.
 
     gamma_override / schatten_override replace the measured spectral- and
-    Schatten-norm products in the depth-free bounds for what-if analysis.
+    Schatten-norm products for what-if analysis (network.override_products).
     """
     if data.dim != net.input_dim:
         raise ShapeError(
             f"dataset dimension {data.dim} does not match network input {net.input_dim}"
         )
-    prof = profile(net, p)
-    if gamma_override is not None or schatten_override is not None:
-        prof = dataclasses.replace(
-            prof,
-            gamma=prof.gamma if gamma_override is None else float(gamma_override),
-            schatten_product=(prof.schatten_product if schatten_override is None
-                              else float(schatten_override)),
-        )
+    prof = override_products(profile(net, p), gamma_override, schatten_override)
     ctx = BoundContext(m=data.m, B=data.radius, gamma=gamma, p=p,
                        n=net.input_dim, h=net.width, d=net.depth)
     elementwise = all(l.activation in ELEMENTWISE_TAGS for l in net.layers[:-1])
     B, m = ctx.B, ctx.m
 
     def entry(name, fn, exact, citation, needs_elementwise=False):
-        value = None
-        if not (needs_elementwise and not elementwise):
-            raw = fn()
-            value = None if raw is None else float(raw)
+        value = fn() if elementwise or not needs_elementwise else None
         return BoundEntry(name=name, value=value, exact_constants=exact,
                           citation=citation, inputs_digest=_digest(prof, ctx, name))
 

@@ -9,6 +9,7 @@ deterministic for fixed flags (including the seed).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -35,9 +36,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_p(text: str) -> float:
-    p = math.inf if text.strip().lower() in ("inf", "infinity") else float(text)
-    if not math.isinf(p):
-        matlin.schatten(p)  # validates the domain
+    p = float(text)
+    matlin.schatten(p)  # validates the domain; +inf is the spectral norm
     return p
 
 
@@ -64,7 +64,6 @@ _FLAGS = {
     "--p": dict(type=_parse_p, default=2.0,
                 help=f"Schatten exponent in [1, {matlin.MAX_SCHATTEN_P:g}] or inf (default 2)"),
     "--gamma": dict(type=float, default=1.0, help="margin parameter"),
-    "--gamma-cap": dict(type=float, default=None, help="upper cap applied to gamma"),
     "--seed": dict(type=int, default=42),
     "--samples": dict(type=int),  # each subcommand sets its own default
     "--restarts": dict(type=int, default=8),
@@ -89,7 +88,7 @@ def build_parser() -> _Parser:
         sp.set_defaults(func=func, **defaults)
         return sp
 
-    command("report", cmd_report, "--network --data --p --gamma --gamma-cap --seed "
+    command("report", cmd_report, "--network --data --p --gamma --seed "
             "--format --out --override-Gamma --override-M", "evaluate every applicable bound")
 
     sp = command("compress", cmd_compress, "--network --data --p --seed --samples --out "
@@ -102,13 +101,13 @@ def build_parser() -> _Parser:
             "--steps --format --out", "Monte Carlo complexity of the norm-ball class",
             samples=32)
 
-    sp = command("lowerbound", cmd_lowerbound, "--gamma --gamma-cap --seed --samples --out",
+    sp = command("lowerbound", cmd_lowerbound, "--gamma --seed --samples --out",
                  "construction-vs-floor ratio table (CSV)", samples=0)
     sp.add_argument("--h-grid", type=_int_list, default=[2, 4, 8])
     sp.add_argument("--m-grid", type=_int_list, default=[8, 16])
     sp.add_argument("--p-grid", type=_float_list, default=[1.0, 2.0, math.inf])
 
-    sp = command("sweep", cmd_sweep, "--data --gamma --gamma-cap --seed --samples --restarts "
+    sp = command("sweep", cmd_sweep, "--data --gamma --seed --samples --restarts "
                  "--steps --out", "depth sweep with pinned norm products (CSV)", samples=0)
     sp.add_argument("--depths", type=_int_list, default=list(range(2, 65)))
     sp.add_argument("--family", choices=("ultrathin", "random"), default="ultrathin")
@@ -125,21 +124,16 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _gamma(args) -> float:
-    return args.gamma if args.gamma_cap is None else min(args.gamma, args.gamma_cap)
-
-
 def cmd_report(args) -> int:
     if not args.data:
         raise ParseError("report requires --data")
     net = load_network(args.network)
     data = load_dataset(args.data)
-    gamma = _gamma(args)
-    report = bounds.report_for(net, data, p=args.p, gamma=gamma,
+    report = bounds.report_for(net, data, p=args.p, gamma=args.gamma,
                                gamma_override=args.override_gamma,
                                schatten_override=args.override_m)
     if args.fmt == "table":
-        text = f"# defaults: p={_FMT(args.p)} gamma={_FMT(gamma)} seed={args.seed}\n" \
+        text = f"# defaults: p={_FMT(args.p)} gamma={_FMT(args.gamma)} seed={args.seed}\n" \
             + report.render_table()
     elif args.fmt == "structured":
         text = report.render_structured()
@@ -202,11 +196,7 @@ def cmd_rademacher(args) -> int:
     spec = _ball_class(net, args.p)
     est = rademacher.mc_rademacher(spec, data, epsilon_samples=args.samples,
                                    restarts=args.restarts, steps=args.steps, seed=args.seed)
-    obj = {
-        "value": est.value, "method": est.method, "epsilon_samples": est.epsilon_samples,
-        "sup_restarts": est.sup_restarts, "sup_steps": est.sup_steps,
-        "std_error": est.std_error, "seed": est.seed, "p": args.p,
-    }
+    obj = {**dataclasses.asdict(est), "p": args.p}
     if args.fmt == "structured":
         text = json.dumps(obj, indent=1) + "\n"
     elif args.fmt == "csv":
@@ -221,12 +211,10 @@ def cmd_rademacher(args) -> int:
 def cmd_lowerbound(args) -> int:
     rows = lowerbound.demonstrate_lower_bound(
         h_grid=args.h_grid, m_grid=args.m_grid, p_grid=args.p_grid,
-        seed=args.seed, gamma=_gamma(args), samples=args.samples,
+        seed=args.seed, gamma=args.gamma, samples=args.samples,
     )
     header = ["h", "m", "p", "diag_value", "scalar_value", "bound_lower", "ratio"]
-    text = bounds.csv_text(header, [[r["h"], r["m"], _FMT(r["p"]), r["diag_value"],
-                                     r["scalar_value"], r["bound_lower"], r["ratio"]]
-                                    for r in rows])
+    text = bounds.csv_text(header, [list(r.values()) for r in rows])
     _emit(text, args.out)
     return 0
 
@@ -283,7 +271,7 @@ def cmd_sweep(args) -> int:
         prof = profile(net, 2.0)
         ney = bounds.bound_frobenius_exp_depth(prof, B, m)
         sqd = bounds.bound_frobenius_sqrt_depth(prof, data)
-        free = bounds.bound_frobenius_depth_free(prof, B, m, _gamma(args))
+        free = bounds.bound_frobenius_depth_free(prof, B, m, args.gamma)
         first, second = bounds.frobenius_depth_free_branches(prof, m)
         if args.family == "ultrathin" and first < second:
             active_plateau.append(free)

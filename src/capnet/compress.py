@@ -22,7 +22,8 @@ import numpy as np
 from . import matlin
 from .errors import DegenerateLayerError, VerificationError
 from .network import (Layer, Network, NormProfile, _run_layers, activation_batch,
-                      forward_batch, lipschitz_product, profile, sphere_points)
+                      forward_batch, lipschitz_product, override_products, profile,
+                      sphere_points)
 
 # a layer whose second singular value is this far below its first is treated
 # as already rank-1 and kept verbatim
@@ -99,14 +100,10 @@ def rank1_replace(net: Network, p: float, r: int, B: float,
     """
     matlin._check_schatten_p(p)
     _check_radius(B)
-    for name, v in (("Gamma", gamma_override), ("M", schatten_override)):
-        if v is not None and not 0.0 < v < math.inf:
-            raise ValueError(f"override of {name} must be finite and > 0, got {v}")
     if not 1 <= r <= net.depth:
         raise ValueError(f"r={r} out of range for depth {net.depth}")
-    prof = profile(net, p)
-    gamma_prod = float(gamma_override) if gamma_override is not None else prof.gamma
-    m_prod = float(schatten_override) if schatten_override is not None else prof.schatten_product
+    prof = override_products(profile(net, p), gamma_override, schatten_override)
+    gamma_prod, m_prod = prof.gamma, prof.schatten_product
     if gamma_prod <= 0.0:
         raise DegenerateLayerError("zero spectral-norm product; certificate undefined")
     log_ratio = max(0.0, math.log(m_prod / gamma_prod))

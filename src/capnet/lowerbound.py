@@ -20,20 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matlin
-from .bounds import bound_lower
+from .bounds import _check_gamma, bound_lower
 from .errors import VerificationError
 from .network import Dataset, Layer, Network, _rng
 from .rademacher import (ClassSpec, RademacherEstimate, enumeration_estimate,
                          sampled_estimate)
-
-
-def dual_exponent(p: float) -> float:
-    """q with 1/p + 1/q = 1; maps 1 <-> inf."""
-    if math.isinf(p):
-        return 1.0
-    if p == 1.0:
-        return math.inf
-    return p / (p - 1.0)
 
 
 def positive_part_dual_norm(c: np.ndarray, p: float) -> np.ndarray:
@@ -42,7 +33,7 @@ def positive_part_dual_norm(c: np.ndarray, p: float) -> np.ndarray:
     This is the exact inner supremum sup_{|w|_p <= 1} sum_k max(0, w_k) c_k.
     """
     cp = np.maximum(np.atleast_2d(np.asarray(c, dtype=np.float64)), 0.0)
-    q = dual_exponent(p)
+    q = matlin.dual_exponent(p)
     if math.isinf(q):
         return cp.max(axis=1)
     if q == 1.0:
@@ -60,8 +51,7 @@ def witness_inner_value(c: np.ndarray, p: float, h: int) -> np.ndarray:
     Equals h^(-1/p) ||(c)_+||_1, never above the exact dual-norm supremum.
     """
     cp = np.maximum(np.atleast_2d(np.asarray(c, dtype=np.float64)), 0.0)
-    scale = 1.0 if math.isinf(p) else h ** (-1.0 / p)
-    return scale * cp.sum(axis=1)
+    return h ** (-1.0 / p) * cp.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -73,14 +63,9 @@ class DiagConstruction:
     p: float
     B: float
     gamma: float
-    budget_first: float
-    scalar_budgets: tuple[float, ...]
+    budgets: tuple[float, ...]
     data: Dataset
     buckets: tuple[tuple[int, ...], ...]
-
-    @property
-    def budgets(self) -> tuple[float, ...]:
-        return (self.budget_first,) + self.scalar_budgets
 
     def bucket_matrix(self) -> np.ndarray:
         """(m, h) indicator: column k marks the 1-based indices i with i mod h = k."""
@@ -118,8 +103,7 @@ def build_diag(h: int, m: int, p: float, B: float, gamma: float,
     """
     if h < 1 or m < 1:
         raise ValueError("need h >= 1 and m >= 1")
-    if not gamma > 0:
-        raise ValueError(f"margin parameter gamma must be positive, got {gamma}")
+    _check_gamma(gamma)
     budgets = tuple(float(b) for b in budgets)
     if not budgets or any(b <= 0 for b in budgets):
         raise ValueError("budgets must be a non-empty positive sequence")
@@ -133,13 +117,13 @@ def build_diag(h: int, m: int, p: float, B: float, gamma: float,
     data = Dataset(points=points)
     cons = DiagConstruction(
         h=h, m=m, p=float(p), B=float(B), gamma=float(gamma),
-        budget_first=budgets[0], scalar_budgets=budgets[1:], data=data,
+        budgets=budgets, data=data,
         buckets=tuple(tuple(b) for b in buckets),
     )
 
     mask = np.zeros((h + 1, h))
     mask[np.arange(h), np.arange(h)] = 1.0
-    first = Layer(weight=(budgets[0] * h ** (-1.0 / p if not math.isinf(p) else 0.0)) * mask,
+    first = Layer(weight=(budgets[0] * h ** (-1.0 / p)) * mask,
                   activation="max_to_scalar")
     layers = [first]
     scalars = list(budgets[1:]) or [1.0]

@@ -91,8 +91,7 @@ class BallConstraint:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError(f"ball radius must be positive, got {self.radius}")
+        _check_radius(self.radius)
 
 
 @dataclass(frozen=True)
@@ -489,13 +488,22 @@ def linear_maximizer(g, c: BallConstraint) -> np.ndarray:
     return out
 
 
+def dual_exponent(p: float) -> float:
+    """q with 1/p + 1/q = 1; maps 1 <-> inf."""
+    if math.isinf(p):
+        return 1.0
+    if p == 1.0:
+        return math.inf
+    return p / (p - 1.0)
+
+
 def _lp_support(g: np.ndarray, p: float, radius: float) -> np.ndarray:
     """argmax of <x, g> over the nonnegative l_p ball, for g >= 0."""
     if p == 1.0:
         out = np.zeros_like(g)
         out[int(np.argmax(g))] = radius
         return out
-    q = p / (p - 1.0)
+    q = dual_exponent(p)
     top = float(g.max())
     if top == 0.0:
         return np.zeros_like(g)

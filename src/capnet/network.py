@@ -13,7 +13,8 @@ Layer indices in the public API are 1-based throughout.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -162,17 +163,17 @@ def forward(net: Network, x) -> np.ndarray:
     return sub_forward(net, 1, net.depth, x)
 
 
-def lipschitz_product(net: Network, start: int = 1, stop: int | None = None) -> float:
-    """Product of spectral norms over layers start..stop (1-based, inclusive).
+def lipschitz_product(net: Network, start: int = 1) -> float:
+    """Product of spectral norms over layers start..d (1-based, inclusive).
 
-    An upper bound on the Lipschitz constant of the corresponding sub-network.
+    An upper bound on the Lipschitz constant of the sub-network from layer
+    start to the output.
     """
-    stop = net.depth if stop is None else stop
-    if not (1 <= start <= stop <= net.depth):
-        raise ShapeError(f"layer range [{start}, {stop}] out of bounds for depth {net.depth}")
+    if not 1 <= start <= net.depth:
+        raise ShapeError(f"layer range [{start}, {net.depth}] out of bounds for depth {net.depth}")
     prod = 1.0
-    for j in range(start, stop + 1):
-        prod *= matlin.matrix_norm(net.layers[j - 1].weight, matlin.SPECTRAL)
+    for layer in net.layers[start - 1:]:
+        prod *= matlin.matrix_norm(layer.weight, matlin.SPECTRAL)
     return prod
 
 
@@ -205,6 +206,19 @@ class NormProfile:
     @property
     def rows_l1_max_product(self) -> float:
         return float(np.prod(self.rows_l1_max))
+
+
+def override_products(prof: NormProfile, gamma: float | None,
+                      schatten: float | None) -> NormProfile:
+    """prof with what-if spectral (Gamma) and Schatten (M) norm products in
+    place of the measured ones; an override must be finite and > 0, and the
+    per-layer norms are kept."""
+    for name, v in (("Gamma", gamma), ("M", schatten)):
+        if v is not None and not 0.0 < v < math.inf:
+            raise ValueError(f"override of {name} must be finite and > 0, got {v}")
+    return replace(prof, gamma=prof.gamma if gamma is None else float(gamma),
+                   schatten_product=(prof.schatten_product if schatten is None
+                                     else float(schatten)))
 
 
 def profile(net: Network, p: float = 2.0) -> NormProfile:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import matlin
 from .errors import VerificationError
-from .network import Dataset, Network, _rng, _run_layers
+from .network import ELEMENTWISE_TAGS, Dataset, Network, _rng, _run_layers
 
 ENUM_CAP = 22           # exact enumeration of sign vectors caps at 2^22
 CONTRACTION_CAP = 14    # sign-enumeration cap inside the contraction harnesses
@@ -69,6 +69,8 @@ class ClassSpec:
             raise ValueError("masks must align with layers")
         if self.masks is None:
             object.__setattr__(self, "masks", (None,) * d)
+        if any(c is None and mk is not None for c, mk in zip(self.balls, self.masks)):
+            raise ValueError("a frozen (None) layer keeps its template weights and takes no mask")
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +222,14 @@ def sup_ascent(eps, spec: ClassSpec, data: Dataset, restarts: int = 8,
         raise ValueError("eps must be a vector of +-1 of length m")
     if data.dim != spec.template.input_dim:
         raise ValueError("data dimension does not match the class template")
+    if restarts < 1 or steps < 0:
+        raise ValueError(f"the ascent needs restarts >= 1 and steps >= 0, "
+                         f"got restarts={restarts}, steps={steps}")
     x = data.points
     m = data.m
     acts = [l.activation for l in spec.template.layers]
     masks = spec.masks
     trained = [j for j, c in enumerate(spec.balls) if c is not None]
-    if restarts < 1 and not trained:
-        raise ValueError("a class with no trainable layer needs restarts >= 1")
 
     # normalise every radius to 1
     multiplier = 1.0
@@ -397,7 +400,7 @@ def check_contraction_frobenius(f_values, R: float, lam: float,
     and lhs <= rhs must hold; activation must be positive-homogeneous
     (relu or identity).
     """
-    if activation not in ("relu", "identity"):
+    if activation not in ELEMENTWISE_TAGS:
         raise ValueError("the Frobenius contraction step needs relu or identity")
 
     def pool(dim):

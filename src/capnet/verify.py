@@ -1,4 +1,5 @@
-"""Randomized property suites, runnable from the CLI and reused by tests.
+"""Randomized property suites run by ``capnet verify``, and the random
+network generator the suites, ``capnet sweep`` and the tests draw from.
 
 Each suite returns a list of check results; any failure makes the CLI exit
 nonzero.  Sizes and seeds are fixed at the canonical desk-scale settings.
@@ -13,7 +14,7 @@ import numpy as np
 
 from . import compress, lowerbound, matlin, rademacher
 from .errors import VerificationError
-from .network import Layer, Network, forward_batch
+from .network import ELEMENTWISE_TAGS, Layer, Network, _rng, forward_batch
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,7 @@ def random_net(rng: np.random.Generator, depth: int | None = None,
 
 def suite_norms() -> list[CheckResult]:
     """Schatten monotonicity, unitary invariance and SVD reconstruction."""
-    rng = np.random.default_rng(20240)
+    rng = _rng(20240)
     ps = [1.0, 1.5, 2.0, 4.0, 8.0]
 
     def run():
@@ -85,11 +86,11 @@ def suite_norms() -> list[CheckResult]:
 
 def suite_contraction() -> list[CheckResult]:
     """Both contraction harnesses on random small instances."""
-    rng = np.random.default_rng(20241)
+    rng = _rng(20241)
     out = []
     for name, checker, tags in (
-        ("frobenius", rademacher.check_contraction_frobenius, ("relu", "identity")),
-        ("l1inf", rademacher.check_contraction_l1inf, ("relu", "identity", "clip1")),
+        ("frobenius", rademacher.check_contraction_frobenius, ELEMENTWISE_TAGS),
+        ("l1inf", rademacher.check_contraction_l1inf, ELEMENTWISE_TAGS + ("clip1",)),
     ):
         def run(checker=checker, tags=tags):
             for i in range(50):
@@ -109,7 +110,7 @@ def suite_contraction() -> list[CheckResult]:
 
 
 def suite_union() -> list[CheckResult]:
-    rng = np.random.default_rng(20242)
+    rng = _rng(20242)
 
     def run():
         for _ in range(50):
@@ -143,7 +144,7 @@ def suite_cover() -> list[CheckResult]:
 
 def suite_certificate() -> list[CheckResult]:
     """Replacement certificates are sound; the factored form matches."""
-    rng = np.random.default_rng(20244)
+    rng = _rng(20244)
 
     def run_cert():
         for i in range(100):

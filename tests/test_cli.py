@@ -1,8 +1,11 @@
+import argparse
 import csv
 import io
 import json
 import math
 import os
+import pathlib
+import re
 import subprocess
 import sys
 import textwrap
@@ -11,7 +14,7 @@ import numpy as np
 import pytest
 
 from capnet import bounds, matlin, verify
-from capnet.cli import main
+from capnet.cli import build_parser, main
 from capnet.network import (Dataset, load_network, profile, save_dataset,
                             save_network)
 from conftest import make_net
@@ -293,6 +296,38 @@ class TestFlags:
         assert "--data" in err
 
 
+    @pytest.mark.parametrize("cmd", ["report", "lowerbound", "sweep"])
+    def test_gamma_has_one_flag(self, cmd, inputs, capsys):
+        net_path, data_path, _, _ = inputs
+        paths = ["--network", net_path, "--data", data_path] if cmd == "report" else []
+        code, out, err = run([cmd] + paths + ["--gamma-cap", "0.5"], capsys)
+        assert code == 1 and not out
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "--p=-inf"],
+        ["report", "--p", "0.5"],
+        ["report", "--p", "nan"],
+        ["lowerbound", "--p-grid", "2,-inf"],
+    ])
+    def test_p_outside_its_domain_is_a_usage_error(self, argv, inputs, capsys):
+        net_path, data_path, _, _ = inputs
+        paths = ["--network", net_path, "--data", data_path] if argv[0] == "report" else []
+        code, out, err = run(argv[:1] + paths + argv[1:], capsys)
+        assert code == 1 and not out
+        assert "invalid" in err
+
+    def test_readme_flag_table_matches_the_parser(self):
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        table = dict(re.findall(r"^\| `(\w+)` +\| `(--[^`]*)` \|$", readme, re.M))
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        want = {name: sorted(opt for act in sp._actions for opt in act.option_strings
+                             if opt not in ("-h", "--help"))
+                for name, sp in sub.choices.items()}
+        assert {name: sorted(flags.split()) for name, flags in table.items()} == want
+
+
 class TestOptimizedMode:
     def test_certified_inequalities_survive_python_O(self, inputs):
         # python -O strips assert statements; these checks must still fire
@@ -382,6 +417,39 @@ class TestBadArgumentsExit2:
         code, stdout, err = run(["compress", "--network", net_path, "--r", "1"] + extra,
                                 capsys)
         assert code == 2 and words in err and "verification failed" not in err
+        assert stdout == ""
+
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--override-Gamma", "nan"), ("--override-Gamma", "inf"),
+        ("--override-M", "nan"), ("--override-M", "inf"),
+        ("--override-M", "0"), ("--override-M", "-1"),
+    ])
+    def test_report_override(self, flag, value, inputs, capsys):
+        # the same rule as compress: a what-if product must be finite and > 0
+        net_path, data_path, _, _ = inputs
+        code, stdout, err = run(["report", "--network", net_path, "--data", data_path,
+                                 flag, value], capsys)
+        name = flag.split("-")[-1]
+        assert code == 2 and f"override of {name} must be finite and > 0" in err
+        assert stdout == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["rademacher", "--samples", "2", "--restarts", "0"],
+        ["rademacher", "--samples", "2", "--steps", "-5"],
+        ["sweep", "--depths", "2", "--samples", "2", "--restarts", "0"],
+        ["sweep", "--depths", "2", "--samples", "2", "--steps", "-5"],
+    ])
+    def test_ascent_needs_a_restart_and_no_negative_steps(self, argv, inputs, capsys,
+                                                          tmp_path, rng):
+        _, data_path, _, _ = inputs
+        if argv[0] == "rademacher":
+            net_path = tmp_path / "scalar.json"
+            save_network(make_net([rng.standard_normal((2, 2)),
+                                   rng.standard_normal((1, 2))]), str(net_path))
+            argv = argv[:1] + ["--network", str(net_path), "--data", data_path] + argv[1:]
+        code, stdout, err = run(argv, capsys)
+        assert code == 2 and "restarts >= 1 and steps >= 0" in err
         assert stdout == ""
 
 

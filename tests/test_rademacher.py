@@ -90,7 +90,7 @@ class TestSupAscent:
         spec = rademacher.ClassSpec(template=tpl, balls=(None,))
         data = Dataset(points=np.eye(2))
         eps = np.array([1.0, -1.0])
-        with pytest.raises(ValueError, match="no trainable layer"):
+        with pytest.raises(ValueError, match="restarts >= 1"):
             rademacher.sup_ascent(eps, spec, data, restarts=0, steps=5)
         val, _ = rademacher.sup_ascent(eps, spec, data, restarts=1, steps=5)
         assert val == 0.0
@@ -523,3 +523,12 @@ class TestClassSpecDefaults:
         balls = tuple(matlin.BallConstraint(matlin.FROBENIUS, 1.0) for _ in net.layers)
         spec = rademacher.ClassSpec(template=net, balls=balls)
         assert spec.masks == (None, None)
+
+    def test_mask_on_a_frozen_layer_is_refused(self, rng):
+        # the ascent keeps a frozen layer at its template weights, so a mask
+        # there could never hold
+        net = make_net([rng.standard_normal((3, 2)), rng.standard_normal((1, 3))])
+        ball = matlin.BallConstraint(matlin.FROBENIUS, 1.0)
+        with pytest.raises(ValueError, match="frozen"):
+            rademacher.ClassSpec(template=net, balls=(ball, None),
+                                 masks=(None, np.ones((1, 3))))
