@@ -22,7 +22,7 @@ import numpy as np
 from . import matlin
 from .bounds import _check_gamma, bound_lower
 from .errors import VerificationError
-from .network import Dataset, Layer, Network, _rng
+from .network import Dataset, Layer, Network, _index_streams
 from .rademacher import (ClassSpec, RademacherEstimate, enumeration_estimate,
                          sampled_estimate)
 
@@ -175,8 +175,8 @@ def _sign_expectation(fn, cons, samples: int, seed: int) -> RademacherEstimate:
     if samples < 2:
         raise ValueError(f"monte-carlo needs samples >= 2 (0 enumerates), got {samples}")
     vals = np.empty(samples)
-    for i in range(samples):
-        vals[i] = float(fn(_rng(seed, i).choice([-1.0, 1.0], size=(1, m)))[0])
+    for i, gen in enumerate(_index_streams(seed, (), samples)):
+        vals[i] = float(fn(gen.choice([-1.0, 1.0], size=(1, m)))[0])
     return sampled_estimate(vals, seed, scale)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import matlin
-from .errors import ParseError, ShapeError
+from .errors import NumericalError, ParseError, ShapeError
 
 ACTIVATION_TAGS = ("relu", "identity", "max_to_scalar")
 ELEMENTWISE_TAGS = ("relu", "identity")
@@ -28,24 +28,117 @@ ELEMENTWISE_TAGS = ("relu", "identity")
 def _rng(seed: int, *key: int) -> np.random.Generator:
     """The generator for spawn key ``key`` under master seed ``seed``.
 
-    Every per-index stream (samples, restarts, points, trials) comes from
-    here, so it depends only on (seed, key), never on what was drawn before.
+    Every per-index stream (samples, restarts, points, trials) is this
+    generator's stream (``_index_streams`` derives many of them at once), so
+    it depends only on (seed, key), never on what was drawn before.
     """
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and the PCG64
+# multiplier (pcg64.h), which _index_streams reproduces.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
+_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+
+
+def _hashmix(value, const: int, mult: int):
+    """One SeedSequence hash step; returns the word and the next constant.
+
+    value is a Python int or a uint64 array of words below 2**32, so every
+    product stays below 2**64 and the mask wraps it to 32 bits.
+    """
+    nxt = const * mult & _MASK32
+    value = (value ^ const) * nxt & _MASK32
+    return value ^ value >> 16, nxt
+
+
+def _mix(x, y):
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _words(n: int) -> list[int]:
+    """The little-endian 32-bit words SeedSequence makes of an integer."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _index_streams(seed: int, key: tuple[int, ...], count: int):
+    """Yield, for i < count, a generator in the state of ``_rng(seed, *key, i)``.
+
+    The SeedSequence pool of every index is hashed in one vectorised pass:
+    the hash constants depend only on a word's position, and the index is the
+    last entropy word.  Each PCG64 state is then set on one reused generator,
+    so a yielded generator is valid until the next one is drawn.  Raises
+    NumericalError if the derived state of index 0 is not numpy's.
+    """
+    if count <= 0:
+        return
+    if count > 1 << 32:
+        raise ValueError(f"at most 2**32 per-index streams, got {count}")
+    gen = _rng(seed, *key, 0)
+    seed_words = _words(seed)
+    entropy = (seed_words + [0] * (4 - len(seed_words))
+               + [w for k in key for w in _words(k)]
+               + [np.arange(count, dtype=np.uint64)])
+    const, pool = _INIT_A, []
+    for word in entropy[:4]:
+        word, const = _hashmix(word, const, _MULT_A)
+        pool.append(word)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                h, const = _hashmix(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], h)
+    for word in entropy[4:]:
+        for dst in range(4):
+            h, const = _hashmix(word, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], h)
+    # generate_state(4, uint64): eight 32-bit words, paired little-endian
+    const, out = _INIT_B, []
+    for k in range(8):
+        word, const = _hashmix(pool[k % 4], const, _MULT_B)
+        out.append(word)
+    seeds = zip(*((out[2 * j] | out[2 * j + 1] << 32).tolist() for j in range(4)))
+    for i, (s_hi, s_lo, i_hi, i_lo) in enumerate(seeds):
+        # pcg64_set_seed: inc = 2 initseq + 1, two LCG steps from state 0
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = {"bit_generator": "PCG64",
+                 "state": {"state": (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128,
+                           "inc": inc},
+                 "has_uint32": 0, "uinteger": 0}
+        if i == 0 and state != gen.bit_generator.state:
+            raise NumericalError(
+                f"derived PCG64 seeding differs from numpy {np.__version__}'s SeedSequence"
+            )
+        gen.bit_generator.state = state
+        yield gen
 
 
 def sphere_points(dim: int, count: int, seed: int, key: tuple[int, ...] = ()) -> np.ndarray:
     """(count, dim) unit vectors; point i is drawn from ``_rng(seed, *key, i)``.
 
-    A zero draw falls back to the first basis vector.
+    The streams are exactly those of ``SeedSequence(seed, spawn_key=(*key, i))``,
+    derived for all points in one vectorised pass.  A zero draw falls back to
+    the first basis vector.
     """
     if dim < 1 or count < 0:
         raise ValueError(f"need dimension >= 1 and count >= 0, got dim={dim}, count={count}")
     pts = np.empty((count, dim))
-    for i in range(count):
-        v = _rng(seed, *key, i).standard_normal(dim)
-        norm = float(np.linalg.norm(v))
-        pts[i] = v / norm if norm > 0 else np.eye(dim)[0]
+    sq = np.empty(count)
+    for i, gen in enumerate(_index_streams(seed, key, count)):
+        row = pts[i]
+        gen.standard_normal(out=row)
+        sq[i] = row.dot(row)  # as np.linalg.norm; a batched sum can differ by 1 ulp
+    norm = np.sqrt(sq)
+    zero = norm == 0
+    norm[zero] = 1.0
+    pts /= norm[:, None]
+    pts[zero] = np.eye(dim)[0]
     return pts
 
 

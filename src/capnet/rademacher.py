@@ -20,7 +20,8 @@ import numpy as np
 
 from . import matlin
 from .errors import VerificationError
-from .network import ELEMENTWISE_TAGS, Dataset, Network, _rng, _run_layers
+from .network import (ELEMENTWISE_TAGS, Dataset, Network, _index_streams, _rng,
+                      _run_layers)
 
 ENUM_CAP = 22           # exact enumeration of sign vectors caps at 2^22
 CONTRACTION_CAP = 14    # sign-enumeration cap inside the contraction harnesses
@@ -553,8 +554,8 @@ def verify_cover(cover: LipschitzCover, trials: int, seed: int = 0) -> float:
     mvals = cover.values_on(fine)
     dx = np.diff(fine)
     fs = np.empty((trials, fine.size))
-    for t in range(trials):
-        slopes = _rng(seed, t).choice([-1.0, 1.0], size=dx.size)
+    for t, gen in enumerate(_index_streams(seed, (), trials)):
+        slopes = gen.choice([-1.0, 1.0], size=dx.size)
         f = np.concatenate([[0.0], np.cumsum(slopes * dx)])
         fs[t] = f - np.interp(0.0, fine, f)
     mins = np.full(trials, np.inf)

@@ -175,3 +175,17 @@ def sign_mean_by_chunks(fn, m: int) -> float:
     for start in range(0, total, step):
         acc += float(fn(sign_matrix(m, start, min(start + step, total))).sum())
     return acc / total
+
+
+def sphere_points_per_point(dim: int, count: int, seed: int, key=()) -> np.ndarray:
+    """``network.sphere_points`` as a loop that seeds one fresh generator per
+    point; the library derives the same streams in one pass and must match it
+    exactly."""
+    from capnet.network import _rng
+
+    pts = np.empty((count, dim))
+    for i in range(count):
+        v = _rng(seed, *key, i).standard_normal(dim)
+        norm = float(np.linalg.norm(v))
+        pts[i] = v / norm if norm > 0 else np.eye(dim)[0]
+    return pts

@@ -2,8 +2,9 @@
 
 The benchmark under ``perfbench/`` fails a run whose ``rademacher`` output
 moved at all; these tests catch such a move in the suite, for the ascent
-commands and for the analysis commands that enumerate sign vectors or run
-the contraction harnesses.  They only read
+commands, for the analysis commands that enumerate sign vectors or run
+the contraction harnesses, and for ``sweep``, whose points are sampled on
+the sphere.  They only read
 ``perfbench/`` (the input generator, the workload definitions and the
 recorded references) and writes its input files under pytest's tmp_path.
 """
@@ -76,6 +77,14 @@ def test_enumeration_and_verify_bytes_match_references(tmp_path):
     labels = {"lowerbound", "lowerbound-m21", "verify"}
     cmds = _run_against_references("analysis", 0, tmp_path, labels)
     assert {cmd.label for cmd in cmds} == labels
+
+
+@pytest.mark.parametrize("entry", range(8))
+def test_sweep_bytes_match_references(entry, tmp_path):
+    # sweep synthesises its points with sphere_points under the input set's
+    # seed, which the benchmark's numeric tolerance would let move by an ulp
+    cmds = _run_against_references("analysis", entry, tmp_path, {"sweep"})
+    assert [cmd.label for cmd in cmds] == ["sweep"]
 
 
 @pytest.mark.parametrize("workload", ["ascent-schatten", "ascent-cheap-ball", "analysis"])

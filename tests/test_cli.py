@@ -140,6 +140,14 @@ class TestCompress:
                                "--B", "2.0"], capsys)
         assert code == 0 and "(user)" in stdout
 
+    def test_diverged_stream_seeding_exits_4(self, inputs, capsys, monkeypatch):
+        from capnet import network
+        net_path, data_path, _, _ = inputs
+        monkeypatch.setattr(network, "_MULT_A", network._MULT_A ^ 1)
+        code, _, err = run(["compress", "--network", net_path, "--data", data_path,
+                            "--r", "2"], capsys)
+        assert code == 4 and "SeedSequence" in err
+
 
 class TestRademacherCmd:
     def test_structured_output(self, inputs, capsys, tmp_path, rng):

@@ -287,3 +287,44 @@ class TestSpherePoints:
     def test_zero_count_is_empty(self):
         from capnet.network import sphere_points as draw
         assert draw(3, 0, seed=0).shape == (0, 3)
+
+    @staticmethod
+    def _cases():
+        """300 seeded (dim, count, seed, key) draws: seeds of one, two and three
+        or more 32-bit words, keys of 0-3 words with some at or above 2**32."""
+        rng = np.random.default_rng(2024)
+        seed_ranges = [(0, 1 << 32), (1 << 32, 1 << 64), (1 << 64, 1 << 96)]
+        for case in range(300):
+            lo, hi = seed_ranges[case % 3]
+            seed = lo + int.from_bytes(rng.bytes(12), "little") % (hi - lo)
+            key = tuple(int(rng.integers(0, 1 << 32)) << (32 * int(rng.integers(0, 2)))
+                        for _ in range(int(rng.integers(0, 4))))
+            yield int(rng.integers(1, 17)), int(rng.integers(0, 201)), seed, key
+
+    def test_matches_per_point_generators(self):
+        from capnet.network import sphere_points as draw
+        from oracles import sphere_points_per_point
+        for dim, count, seed, key in self._cases():
+            got = draw(dim, count, seed, key)
+            assert np.array_equal(got, sphere_points_per_point(dim, count, seed, key)), \
+                (dim, count, seed, key)
+
+    def test_every_stream_state_is_numpys(self):
+        from capnet.network import _index_streams, _rng
+        for dim, count, seed, key in self._cases():
+            for i, gen in enumerate(_index_streams(seed, key, count)):
+                assert gen.bit_generator.state == _rng(seed, *key, i).bit_generator.state, \
+                    (seed, key, i)
+
+    def test_index_beyond_one_hash_word_rejected(self):
+        # an index >= 2**32 is two SeedSequence words, which the pass does not hash
+        from capnet.network import _index_streams
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            next(_index_streams(0, (), (1 << 32) + 1))
+
+    def test_wrong_hash_constant_raises(self, monkeypatch):
+        from capnet import network
+        from capnet.errors import NumericalError
+        monkeypatch.setattr(network, "_MULT_A", network._MULT_A ^ 1)
+        with pytest.raises(NumericalError, match=np.__version__):
+            network.sphere_points(3, 5, seed=7)
