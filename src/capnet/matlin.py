@@ -1,9 +1,11 @@
 """Dense matrix primitives: SVD, matrix norms, and Euclidean norm-ball projections.
 
 Matrices are 2-D float64 numpy arrays with finite entries, validated through
-:func:`as_matrix`.  Every function here is pure: arrays are treated as
-immutable and are never modified in place, so values are safe to share
-between concurrent workers.
+:func:`as_matrix`.  The SVD, the norms, the ball projections and the support
+map also take a stack (n, rows, cols) of matrices and work slice by slice:
+every slice comes out bit-identical to the same call on that matrix alone.
+Every function here is pure: arrays are treated as immutable and are never
+modified in place, so values are safe to share between concurrent workers.
 """
 
 from __future__ import annotations
@@ -31,6 +33,18 @@ def as_matrix(entries) -> np.ndarray:
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError(f"matrix dimensions must be positive, got {a.shape}")
     if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    return a
+
+
+def _as_stack(entries) -> np.ndarray:
+    """:func:`as_matrix` for a matrix or a stack (n, rows, cols) of them."""
+    a = np.asarray(entries, dtype=np.float64)
+    if a.ndim not in (2, 3):
+        raise ValueError(f"expected a 2-D matrix or a 3-D stack of them, got ndim={a.ndim}")
+    if 0 in a.shape:
+        raise ValueError(f"matrix dimensions must be positive, got {a.shape}")
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -100,6 +114,8 @@ class SvdResult:
 
     left is rows x k and right is cols x k, both with orthonormal columns;
     singular values are non-negative and non-increasing; k = min(rows, cols).
+    The SVD of a stack (n, rows, cols) holds one such factor per slice, with
+    a leading axis of length n on each field.
     """
 
     left: np.ndarray
@@ -107,14 +123,14 @@ class SvdResult:
     right: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        return (self.left * self.singular) @ self.right.T
+        return (self.left * self.singular[..., None, :]) @ self.right.swapaxes(-1, -2)
 
 
 def _lapack_svd(w, **options):
     """numpy's SVD of w, validated and guarded as :func:`svd` describes."""
-    w = as_matrix(w)
-    if max(w.shape) > MAX_SIDE:
-        raise ValueError(f"matrix side {max(w.shape)} exceeds supported range {MAX_SIDE}")
+    w = _as_stack(w)
+    if max(w.shape[-2:]) > MAX_SIDE:
+        raise ValueError(f"matrix side {max(w.shape[-2:])} exceeds supported range {MAX_SIDE}")
     try:
         return np.linalg.svd(w, **options)
     except np.linalg.LinAlgError as exc:
@@ -122,38 +138,49 @@ def _lapack_svd(w, **options):
 
 
 def svd(w) -> SvdResult:
-    """Full-accuracy thin SVD of a dense matrix (sides at most MAX_SIDE).
+    """Full-accuracy thin SVD of a dense matrix (sides at most MAX_SIDE), or
+    of every slice of a stack of them.
 
     Deterministic for a fixed input.  Non-convergence of the underlying
     solver raises :class:`NumericalError` rather than returning garbage.
     """
     u, s, vh = _lapack_svd(w, full_matrices=False)
-    return SvdResult(left=u, singular=np.maximum(s, 0.0), right=vh.T)
+    return SvdResult(left=u, singular=np.maximum(s, 0.0), right=vh.swapaxes(-1, -2))
 
 
 def singular_values(w) -> np.ndarray:
-    """Singular values of w, non-increasing."""
+    """Singular values of w (a row per slice of a stack), non-increasing."""
     return np.maximum(_lapack_svd(w, compute_uv=False), 0.0)
 
 
-def matrix_norm(w, kind: NormKind) -> float:
-    """Evaluate the selected matrix norm of w."""
+def matrix_norm(w, kind: NormKind):
+    """Evaluate the selected matrix norm of w: a float, or an array of one
+    norm per slice of a stack (n, rows, cols).  A Frobenius norm sums a
+    stack's slices in C order, as np.linalg.norm does a C-contiguous matrix."""
     if kind.tag in ("spectral", "schatten"):
         return singular_norm(singular_values(w), kind)
-    w = as_matrix(w)
+    w = _as_stack(w)
     if kind.tag == "frobenius":
-        return float(np.linalg.norm(w))
+        if w.ndim == 2:
+            return float(np.linalg.norm(w))
+        # np.linalg.norm of a matrix is the dot of its ravel with itself, and
+        # a stacked (1, size) @ (size, 1) product takes that same dot
+        flat = w.reshape(w.shape[0], 1, -1)
+        return np.sqrt((flat @ flat.swapaxes(-1, -2))[:, 0, 0])
     if kind.tag == "rows_l2_sum":
-        return float(np.sqrt((w * w).sum(axis=1)).sum())
-    return float(np.abs(w).sum(axis=1).max())
+        out = np.sqrt((w * w).sum(axis=-1)).sum(axis=-1)
+    else:
+        out = np.abs(w).sum(axis=-1).max(axis=-1)
+    return float(out) if w.ndim == 2 else out
 
 
-def singular_norm(s: np.ndarray, kind: NormKind) -> float:
-    """Spectral or Schatten norm from a matrix's singular values s."""
+def singular_norm(s: np.ndarray, kind: NormKind):
+    """Spectral or Schatten norm from a matrix's singular values s: a float,
+    or an array of one norm per row of a stack (n, k) of them."""
     if kind.tag == "spectral":
-        return float(s[0])
+        return float(s[0]) if s.ndim == 1 else s[:, 0]
     if kind.tag == "schatten":
-        return _lp_vec_norm(s, kind.p)
+        return _lp_vec_norm(s, kind.p) if s.ndim == 1 else _lp_row_norms(s, kind.p)
     raise ValueError(f"norm {kind.tag!r} is not a function of the singular values")
 
 
@@ -233,6 +260,16 @@ def _lp_vec_norm(a: np.ndarray, p: float) -> float:
     if top == 0.0:
         return 0.0
     return top * float(np.sum((a / top) ** p) ** (1.0 / p))
+
+
+def _lp_row_norms(a: np.ndarray, p: float) -> np.ndarray:
+    """:func:`_lp_vec_norm` of every row of a (a >= 0), bit for bit.  At p = 1
+    the powers are the identity and all rows take one pass; other p go row by
+    row, as a power of a whole array may round differently from a scalar one."""
+    if p != 1.0:
+        return np.array([_lp_vec_norm(row, p) for row in a])
+    top = a.max(axis=1, initial=0.0)
+    return top * (a / np.where(top > 0.0, top, 1.0)[:, None]).sum(axis=1)
 
 
 def _lp_shrink(a: np.ndarray, p: float, lam: float) -> np.ndarray:
@@ -352,9 +389,11 @@ def _lp_multiplier(a: np.ndarray, p: float, radius: float) -> tuple[float, float
 
 
 def project_lp_ball(v, p: float, radius: float) -> np.ndarray:
-    """Project a vector onto the l_p ball, 1 <= p <= MAX_SCHATTEN_P.
+    """Project a vector, or every row of a stack (n, k) of them, onto the l_p
+    ball, 1 <= p <= MAX_SCHATTEN_P.
 
-    p = 1 uses the sorted-threshold rule.  General p bisects the Lagrange
+    p = 1 uses the sorted-threshold rule, on a stack :func:`project_l1_rows`;
+    other p project a stack row by row.  General p bisects the Lagrange
     multiplier lam of the coordinate-wise shrink x + lam*p*x^(p-1) = |v|
     (bracket [0, max|v|/p] widened by doubling, at most 200 steps,
     tolerance 1e-10) and returns the shrink at the final bracket's top.
@@ -376,9 +415,21 @@ def project_lp_ball(v, p: float, radius: float) -> np.ndarray:
     A nan there raises :class:`NumericalError`.
     """
     _check_schatten_p(p)
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim == 2:
+        if p == 1.0:
+            return project_l1_rows(v, radius)
+        out = np.empty_like(v)
+        for i, row in enumerate(v):
+            out[i] = _project_lp(row, p, radius)
+        return out
     if p == 1.0:
         return project_l1_ball(v, radius)
-    v = np.asarray(v, dtype=np.float64)
+    return _project_lp(v, p, radius)
+
+
+def _project_lp(v: np.ndarray, p: float, radius: float) -> np.ndarray:
+    """:func:`project_lp_ball` of the vector v for 1 < p <= MAX_SCHATTEN_P."""
     a = np.abs(v)
     if _lp_vec_norm(a, p) <= radius:
         return v.copy()
@@ -412,7 +463,7 @@ def project_lp_ball(v, p: float, radius: float) -> np.ndarray:
         if not np.isfinite(x).all():
             if radius == 1.0:
                 raise NumericalError(f"l_{p:g}-ball projection overflowed its multiplier")
-            return radius * project_lp_ball(v / radius, p, 1.0)
+            return radius * _project_lp(v / radius, p, 1.0)
     return np.sign(v) * x
 
 
@@ -424,68 +475,97 @@ def project_to_ball(w, c: BallConstraint) -> np.ndarray:
     Schatten balls take one SVD for the norm check and the projection: they
     project the singular-value vector, whose norm stands for the result's,
     and reconstruct with the input's singular vectors.  Row-structured balls
-    project each row independently.
+    project each row independently.  A stack (n, rows, cols) is projected
+    slice by slice, with one SVD for the whole stack; its slices within the
+    ball keep their bits.
     """
     w = np.asarray(w, dtype=np.float64)  # svd or matrix_norm validates it
+    if w.ndim != 2:
+        return _project(w, c)[0]
+    out, outside = _project(w[None], c)
+    return out[0] if outside[0] else w
+
+
+def _project(w: np.ndarray, c: BallConstraint) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`project_to_ball` of a stack w (n, rows, cols), and which of its
+    slices were outside the ball (the others come back as they are)."""
     kind = c.kind
     limit = c.radius * (1.0 + 1e-12)
     if kind.tag in ("spectral", "schatten"):
         r = svd(w)
-        if singular_norm(r.singular, kind) <= limit:
-            return w
+        outside = ~(singular_norm(r.singular, kind) <= limit)
+        every = outside.all()
+        if not (every or outside.any()):
+            return w, outside
+        pick = slice(None) if every else outside
+        s = r.singular[pick]
         if kind.tag == "spectral":
-            s = np.minimum(r.singular, c.radius)
+            s = np.minimum(s, c.radius)
+            again = None  # a clip at the radius always passes the check
         else:
-            s = project_lp_ball(r.singular, kind.p, c.radius)
-        out, norm = (r.left * s) @ r.right.T, singular_norm(s, kind)
+            s = project_lp_ball(s, kind.p, c.radius)
+            again = ~(singular_norm(s, kind) <= limit)
+        proj = (r.left[pick] * s[:, None, :]) @ r.right[pick].swapaxes(-1, -2)
     else:
-        if matrix_norm(w, kind) <= limit:
-            return w
+        norms = matrix_norm(w, kind)
+        outside = ~(norms <= limit)
+        every = outside.all()
+        if not (every or outside.any()):
+            return w, outside
+        pick = slice(None) if every else outside
+        v = w[pick]
         if kind.tag == "frobenius":
-            out = w * (c.radius / float(np.linalg.norm(w)))
+            proj = v * (c.radius / norms[pick])[:, None, None]
         elif kind.tag == "rows_l1_max":
-            out = project_l1_rows(w, c.radius)
+            proj = project_l1_rows(v.reshape(-1, v.shape[-1]), c.radius).reshape(v.shape)
         else:  # rows_l2_sum
-            norms = np.sqrt((w * w).sum(axis=1))
-            shrunk = project_l1_ball(norms, c.radius)
-            scale = np.divide(shrunk, norms, out=np.zeros_like(norms), where=norms > 0)
-            out = w * scale[:, None]
-        norm = matrix_norm(out, kind)
+            rows = np.sqrt((v * v).sum(axis=-1))
+            shrunk = project_l1_rows(rows, c.radius)
+            scale = np.divide(shrunk, rows, out=np.zeros_like(rows), where=rows > 0)
+            proj = v * scale[..., None]
+        again = ~(matrix_norm(proj, kind) <= limit)
     # the l1-type projections (Schatten-1 and the row norms) overshoot by about
     # size * eps times the input's norm, which far outside exceeds the limit
-    return out if norm <= limit else project_to_ball(out, c)
+    if again is not None and again.any():
+        proj[again] = _project(proj[again], c)[0]
+    if every:
+        return proj, outside
+    out = w.copy()
+    out[outside] = proj
+    return out, outside
 
 
 def linear_maximizer(g, c: BallConstraint) -> np.ndarray:
-    """argmax of <W, G> over the ball c (the ball's support-point map).
+    """argmax of <W, G> over the ball c (the ball's support-point map), for G
+    or for every slice of a stack (n, rows, cols) of them.
 
     Used by the constrained ascent to polish candidates; returns a boundary
-    point of the ball for any nonzero gradient G.
+    point of the ball for any nonzero gradient G, and 0 for G = 0.
     """
     kind = c.kind
     if kind.tag in ("spectral", "schatten"):
         r = svd(g)
-        if not r.singular[0] > 0:
-            return np.zeros((r.left.shape[0], r.right.shape[0]))
         if kind.tag == "spectral":
-            return c.radius * (r.left @ r.right.T)
-        return (r.left * _lp_support(r.singular, kind.p, c.radius)) @ r.right.T
-    g = as_matrix(g)
-    if not g.any():
-        return np.zeros_like(g)
+            out = c.radius * (r.left @ r.right.swapaxes(-1, -2))
+        else:
+            support = _lp_support(r.singular, kind.p, c.radius)
+            out = (r.left * support[..., None, :]) @ r.right.swapaxes(-1, -2)
+        return np.where(r.singular[..., :1, None] > 0, out, 0.0)
+    g = _as_stack(g)
+    nonzero = g.reshape(*g.shape[:-2], -1).any(axis=-1)[..., None, None]
     if kind.tag == "frobenius":
-        return g * (c.radius / float(np.linalg.norm(g)))
+        norm = np.asarray(matrix_norm(g, kind))[..., None, None]
+        return np.where(nonzero, g * (c.radius / np.where(nonzero, norm, 1.0)), 0.0)
     if kind.tag == "rows_l1_max":
+        idx = np.abs(g).argmax(axis=-1)[..., None]
         out = np.zeros_like(g)
-        idx = np.abs(g).argmax(axis=1)
-        rows = np.arange(g.shape[0])
-        out[rows, idx] = c.radius * np.sign(g[rows, idx])
-        return out
-    norms = np.sqrt((g * g).sum(axis=1))  # rows_l2_sum
-    best = int(norms.argmax())
-    out = np.zeros_like(g)
-    out[best] = g[best] * (c.radius / norms[best])
-    return out
+        np.put_along_axis(out, idx, c.radius * np.sign(np.take_along_axis(g, idx, -1)), -1)
+        return np.where(nonzero, out, 0.0)
+    norms = np.sqrt((g * g).sum(axis=-1))[..., None]  # rows_l2_sum
+    best = norms.argmax(axis=-2)[..., None]
+    top = np.take_along_axis(norms, best, -2)
+    out = g * (c.radius / np.where(nonzero, top, 1.0))
+    return np.where(nonzero & (np.arange(g.shape[-2])[:, None] == best), out, 0.0)
 
 
 def dual_exponent(p: float) -> float:
@@ -498,11 +578,14 @@ def dual_exponent(p: float) -> float:
 
 
 def _lp_support(g: np.ndarray, p: float, radius: float) -> np.ndarray:
-    """argmax of <x, g> over the nonnegative l_p ball, for g >= 0."""
+    """argmax of <x, g> over the nonnegative l_p ball, for g >= 0 or for every
+    row of a stack (n, k) of such g."""
     if p == 1.0:
         out = np.zeros_like(g)
-        out[int(np.argmax(g))] = radius
+        np.put_along_axis(out, g.argmax(axis=-1)[..., None], radius, -1)
         return out
+    if g.ndim == 2:
+        return np.array([_lp_support(row, p, radius) for row in g])
     q = dual_exponent(p)
     top = float(g.max())
     if top == 0.0:

@@ -143,13 +143,14 @@ def sphere_points(dim: int, count: int, seed: int, key: tuple[int, ...] = ()) ->
 
 
 def activation_batch(tag: str, z: np.ndarray) -> np.ndarray:
-    """Apply an activation to a batch of pre-activations (rows are samples)."""
+    """Apply an activation to a batch of pre-activations (rows are samples;
+    a leading stack axis may hold one batch per weight set)."""
     if tag == "relu":
         return np.maximum(z, 0.0)
     if tag == "identity":
         return z
     if tag == "max_to_scalar":
-        return z.max(axis=1, keepdims=True)
+        return z.max(axis=-1, keepdims=True)
     raise ValueError(f"unknown activation tag {tag!r}")
 
 
@@ -215,11 +216,15 @@ class Network:
 
 def _run_layers(weights, acts, a):
     """Apply each matrix then its activation (None applies none) to the rows
-    of a; returns the output and every layer's input and pre-activation."""
+    of a; returns the output and every layer's input and pre-activation.
+
+    A weight may be a stack (n, rows, cols), one matrix per weight set: from
+    that layer on every array gains the leading axis of length n, and slice
+    i is what the weights of set i give alone."""
     inputs, preacts = [], []
     for w, act in zip(weights, acts):
         inputs.append(a)
-        z = a @ w.T
+        z = a @ w.swapaxes(-1, -2)
         preacts.append(z)
         a = z if act is None else activation_batch(act, z)
     return a, inputs, preacts

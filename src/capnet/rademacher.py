@@ -26,6 +26,7 @@ from .network import (ELEMENTWISE_TAGS, Dataset, Network, _index_streams, _rng,
 ENUM_CAP = 22           # exact enumeration of sign vectors caps at 2^22
 CONTRACTION_CAP = 14    # sign-enumeration cap inside the contraction harnesses
 COVER_MAX_GRID = 16     # largest x-grid for the explicit Lipschitz cover
+ASCENT_BLOCK_BYTES = 1 << 22  # weights and layer outputs of one stack of ascent trajectories
 
 
 @dataclass(frozen=True)
@@ -153,11 +154,13 @@ def exact_rademacher(values) -> RademacherEstimate:
 def _backward(weights, acts, inputs, preacts, g_out):
     """Gradients of sum_i g_out_i * y_i with respect to every weight matrix.
 
-    Subgradient conventions: relu'(0) = 0; the scalar-max routes its
-    gradient to the lowest-index maximising coordinate.
+    g_out is (n, m), one row per weight set of a stacked forward pass (see
+    ``network._run_layers``), and every gradient comes out as an (n, rows,
+    cols) stack.  Subgradient conventions: relu'(0) = 0; the scalar-max
+    routes its gradient to the lowest-index maximising coordinate.
     """
     grads = [None] * len(weights)
-    g = g_out[:, None]
+    g = g_out[..., None]
     for j in range(len(weights) - 1, -1, -1):
         z = preacts[j]
         if j < len(weights) - 1:
@@ -165,53 +168,104 @@ def _backward(weights, acts, inputs, preacts, g_out):
             if act == "relu":
                 g = g * (z > 0)
             elif act == "max_to_scalar":
-                routed = np.zeros_like(z)
-                routed[np.arange(z.shape[0]), z.argmax(axis=1)] = g[:, 0]
+                routed = np.zeros(g.shape[:-1] + z.shape[-1:])
+                top = np.broadcast_to(z.argmax(axis=-1), g.shape[:-1])
+                np.put_along_axis(routed, top[..., None], g, -1)
                 g = routed
             # identity: pass through
-        grads[j] = g.T @ inputs[j]
+        grads[j] = g.swapaxes(-1, -2) @ inputs[j]
         if j > 0:
             g = g @ weights[j]
     return grads
 
 
 def _enforce(w, c, mask):
-    """Projection onto the layer's ball c (and its mask).
+    """Projection onto the layer's ball c (and its mask) of w, or of every
+    slice of a stack (n, rows, cols) of weights.
 
     Without a mask this is one projection, which shares its SVD with the
     norm check and lands in the ball.  Masking can raise a Schatten norm, so
-    a masked layer alternates projection and mask until a projection changes
-    nothing; a final uniform scale-down guarantees strict feasibility even
-    when the alternating rounds have not converged, so every candidate the
-    ascent evaluates really is in the class.
+    a masked slice alternates projection and mask until a projection changes
+    nothing; a final uniform scale-down of the slices still changing
+    guarantees strict feasibility when the alternating rounds have not
+    converged, so every candidate the ascent evaluates really is in the
+    class.
     """
     if mask is None:
         return matlin.project_to_ball(w, c)
+    if w.ndim == 2:
+        return _enforce(w[None], c, mask)[0]
     w = w * mask
+    live = np.arange(len(w))
     for _ in range(8):
-        out = matlin.project_to_ball(w, c)
-        if out is w:
+        sub = w[live]
+        out = matlin.project_to_ball(sub, c)
+        # a slice outside the ball always moves, one inside keeps its bits
+        moved = (out != sub).reshape(len(live), -1).any(axis=1)
+        live = live[moved]
+        if not live.size:
             return w
-        w = out * mask
-    worst = matlin.matrix_norm(w, c.kind) / c.radius
-    return w / worst if worst > 1.0 else w
+        w[live] = out[moved] * mask
+    worst = matlin.matrix_norm(w[live], c.kind) / c.radius
+    w[live] = w[live] / np.where(worst > 1.0, worst, 1.0)[:, None, None]
+    return w
 
 
 def _scale_to_boundary(w, c):
+    """Every nonzero slice of the stack w scaled onto the sphere of c."""
     n = matlin.matrix_norm(w, c.kind)
-    return w * (c.radius / n) if n > 0 else w
+    return w * np.where(n > 0, c.radius / np.where(n > 0, n, 1.0), 1.0)[:, None, None]
+
+
+def _value_cap(spec: ClassSpec, data: Dataset) -> float:
+    """An upper bound on every per-sample ascent value of the class:
+    Pi_j c_j (1/m) sum_i |x_i|_2, where c_j bounds layer j's spectral norm.
+
+    A ball bounds it by its radius (spectral, Schatten, Frobenius and
+    rows_l2_sum balls) or by sqrt(rows) times its radius (rows_l1_max); a
+    frozen layer has its own.  The activations are 1-Lipschitz and fix 0, so
+    |f(x)| <= Pi_j c_j |x|_2 for every f in the class.
+    """
+    prod = 1.0
+    for layer, c in zip(spec.template.layers, spec.balls):
+        if c is None:
+            prod *= matlin.matrix_norm(layer.weight, matlin.SPECTRAL)
+        elif c.kind.tag == "rows_l1_max":
+            prod *= math.sqrt(layer.weight.shape[0]) * c.radius
+        else:
+            prod *= c.radius
+    x = data.points
+    return prod * float(np.sqrt((x * x).sum(axis=1)).mean())
+
+
+def _trajectory_bytes(spec: ClassSpec, m: int) -> int:
+    """The bytes of one ascent trajectory's weights and layer outputs over m
+    points, the unit of ASCENT_BLOCK_BYTES."""
+    return 8 * sum((m + l.weight.shape[1]) * l.weight.shape[0] for l in spec.template.layers)
 
 
 def sup_ascent(eps, spec: ClassSpec, data: Dataset, restarts: int = 8,
-               steps: int = 500, seed: int = 0) -> tuple[float, list[np.ndarray]]:
+               steps: int = 500, seed: int | list[int] = 0):
     """Maximise (1/m) sum_i eps_i f(x_i) over the constrained class.
 
     Projected gradient ascent (step 0.1/sqrt(t)) with multiple restarts: one
     deterministic restart starts from the boundary-scaled sign-weighted data
-    correlation, the rest from seeded random boundary points; each restart
-    ends with a few support-point refinement rounds.  Every evaluated
-    candidate is feasible, so the returned value is a certified lower bound
-    on the true supremum, and it is deterministic for a fixed seed.
+    correlation, restart k of the others from a boundary point drawn from
+    ``_rng(seed, k)``; each restart ends with a sign flip and a few
+    support-point refinement rounds.  Every evaluated candidate is feasible,
+    so the returned value is a certified lower bound on the true supremum,
+    and it is deterministic for a fixed seed.
+
+    eps is a +-1 vector of length m with an int seed, which returns (value,
+    weights), or a stack (n, m) of them with a sequence of n seeds, which
+    returns an array of n values and every layer's weights as an (n, rows,
+    cols) stack.  The n * restarts trajectories step together in stacks
+    whose weights and layer outputs take about ASCENT_BLOCK_BYTES (one
+    trajectory at least), each computed bit for bit as it would be alone, so
+    the stacking does not change the result.  A sign vector's result
+    is the first best of its candidates in the order they would be met one
+    restart after another: the zero function, then each restart's steps,
+    flip and refinement.
 
     Positive homogeneity of the activations lets the ascent run with each
     ball's radius normalised to 1; the result is rescaled by the radius
@@ -219,8 +273,14 @@ def sup_ascent(eps, spec: ClassSpec, data: Dataset, restarts: int = 8,
     budget.
     """
     eps = np.asarray(eps, dtype=np.float64)
-    if eps.shape != (data.m,) or not np.all(np.abs(eps) == 1.0):
-        raise ValueError("eps must be a vector of +-1 of length m")
+    single = eps.ndim == 1
+    signs = eps[None] if single else eps
+    if (signs.ndim != 2 or signs.shape[1] != data.m or not len(signs)
+            or not np.all(np.abs(signs) == 1.0)):
+        raise ValueError("eps must be a vector of +-1 of length m, or a stack (n, m) of them")
+    seeds = [seed] if single else np.atleast_1d(seed).tolist()
+    if len(seeds) != len(signs):
+        raise ValueError(f"need one seed per sign vector, got {len(seeds)} for {len(signs)}")
     if data.dim != spec.template.input_dim:
         raise ValueError("data dimension does not match the class template")
     if restarts < 1 or steps < 0:
@@ -240,95 +300,184 @@ def sup_ascent(eps, spec: ClassSpec, data: Dataset, restarts: int = 8,
         multiplier *= spec.balls[j].radius
         base_weights[j] = base_weights[j] / spec.balls[j].radius
 
-    g_out = eps / m
-
     def feasible(ws):
         return [w if c is None else _enforce(w, c, mk) for w, c, mk in zip(ws, balls, masks)]
 
-    def masked_grads(ws, inputs, preacts):
-        grads = _backward(ws, acts, inputs, preacts, g_out)
-        return [g if mk is None else g * mk for g, mk in zip(grads, masks)]
+    # trajectory i * restarts + k is restart k of sign vector i; restart 0
+    # starts at the sign-weighted data correlation when the first layer is
+    # trainable, keeping the template's later layers, and the rest draw every
+    # trainable layer at random
+    at_corr = balls[0] is not None
+    corr = (signs[:, None, :] @ x) / m
 
-    best_val = -math.inf
-    best_ws = None
+    def ascend(runs):
+        """The best objective of each trajectory of runs and its weights."""
+        every = np.arange(len(runs))
+        eps_run = signs[runs // restarts][:, None, :]
+        g_out = eps_run[:, 0] / m
 
-    def consider(ws):
-        """The objective at ws, kept as the best when it beats it, with the
-        layer inputs and pre-activations of its forward pass."""
-        nonlocal best_val, best_ws
-        y, inputs, preacts = _run_layers(ws, acts, x)
-        v = float(eps @ y[:, 0]) / m
-        if v > best_val:
-            best_val, best_ws = v, [w.copy() for w in ws]
-        return v, inputs, preacts
+        def masked_grads(ws, inputs, preacts, sel):
+            grads = _backward(ws, acts, inputs, preacts, g_out[sel])
+            return [g if mk is None else g * mk for g, mk in zip(grads, masks)]
 
-    # the zero function is in the class whenever some layer is trainable
-    if trained:
-        zero_ws = list(base_weights)
-        zero_ws[trained[0]] = np.zeros_like(zero_ws[trained[0]])
-        consider(feasible(zero_ws))
+        best_val = np.full(len(runs), -math.inf)
+        best_ws = [np.empty((len(runs),) + base_weights[j].shape) if j in trained else None
+                   for j in range(len(acts))]
 
-    corr = (eps @ x) / m
-    for k in range(restarts):
-        ws = [w.copy() for w in base_weights]
-        if k == 0 and balls[0] is not None:
-            # deterministic restart at the sign-weighted data correlation
-            w1 = np.tile(corr, (ws[0].shape[0], 1))
-            if masks[0] is not None:
-                w1 = w1 * masks[0]
-            ws[0] = _scale_to_boundary(w1, balls[0])
-        else:
-            rng = _rng(seed, k)
-            for j in trained:
-                w = rng.standard_normal(ws[j].shape)
-                if masks[j] is not None:
-                    w = w * masks[j]
-                ws[j] = _scale_to_boundary(w, balls[j])
+        def consider(ws, sel):
+            """The objectives of the trajectories sel at ws (their weights),
+            kept per trajectory as its best where they beat it, with the
+            layer inputs and pre-activations of the forward pass."""
+            y, inputs, preacts = _run_layers(ws, acts, x)
+            v = (eps_run[sel] @ y)[:, 0, 0] / m
+            won = v > best_val[sel]
+            # weight arrays are never written once built, so a best may be ws itself
+            if len(sel) == len(every) and won.all():
+                best_val[:] = v
+                for j in trained:
+                    best_ws[j] = ws[j]
+            elif won.any():
+                best_val[sel[won]] = v[won]
+                for j in trained:
+                    best_ws[j] = best_ws[j].copy()
+                    best_ws[j][sel[won]] = ws[j][won]
+            return [v, inputs, preacts]
+
+        ws = [np.repeat(w[None], len(runs), axis=0) if j in trained else w
+              for j, w in enumerate(base_weights)]
+        for pos, run in enumerate(runs.tolist()):
+            i, k = divmod(run, restarts)
+            if k == 0 and at_corr:
+                ws[0][pos] = corr[i]
+            else:
+                rng = _rng(seeds[i], k)
+                for j in trained:
+                    ws[j][pos] = rng.standard_normal(ws[j].shape[1:])
+        firsts = runs % restarts == 0
+        for j in trained:
+            if masks[j] is not None:
+                ws[j] = ws[j] * masks[j]
+            ws[j] = _scale_to_boundary(ws[j], balls[j])
+            if at_corr and j > 0:
+                ws[j][firsts] = base_weights[j]
         ws = feasible(ws)
+
         for t in range(1, steps + 1):
-            grads = masked_grads(ws, *consider(ws)[1:])
+            grads = masked_grads(ws, *consider(ws, every)[1:], every)
             lr = 0.1 / math.sqrt(t)
             for j in trained:
                 ws[j] = _enforce(ws[j] + lr * grads[j], balls[j], masks[j])
-        current = consider(ws)  # (objective, inputs, pre-activations) at ws from here on
+        current = consider(ws, every)  # [objectives, inputs, pre-activations] at ws from here on
         if trained:
             # negating the output-side trainable layer is always feasible and,
             # with a linear tail, exactly flips the function's sign; rescues
             # wrong-sign basins cheaply
+            last = trained[-1]
             flipped = list(ws)
-            flipped[trained[-1]] = -flipped[trained[-1]]
-            if (f := consider(flipped))[0] > current[0]:
-                ws, current = flipped, f
+            flipped[last] = -ws[last]
+            f = consider(flipped, every)
+            won = f[0] > current[0]
+            if won.all():
+                ws[last], current = flipped[last], f
+            elif won.any():
+                ws[last] = np.where(won[:, None, None], flipped[last], ws[last])
+                current[0] = np.where(won, f[0], current[0])
+                for old, new in zip(current[1:], f[1:]):
+                    for a, b in zip(old, new):
+                        if a.ndim == 3:
+                            a[won] = b[won]
         # support-point refinement: jump to each ball's maximiser of the
-        # linearised objective; exact for single-layer linear classes
+        # linearised objective, for as long as that improves the trajectory;
+        # exact for single-layer linear classes
+        live = every
         for _ in range(4):
-            grads = masked_grads(ws, *current[1:])
-            cand = list(ws)
+            sub, caches = ws, current[1:]
+            if len(live) < len(every):
+                sub = [w[live] if w.ndim == 3 else w for w in ws]
+                caches = [[a[live] if a.ndim == 3 else a for a in part] for part in caches]
+            grads = masked_grads(sub, *caches, live)
+            cand = list(sub)
             for j in trained:
-                cj = matlin.linear_maximizer(grads[j], balls[j]) if grads[j].any() else ws[j]
+                moved = grads[j].reshape(len(live), -1).any(axis=1)[:, None, None]
+                cj = np.where(moved, matlin.linear_maximizer(grads[j], balls[j]), sub[j])
                 cand[j] = _enforce(cj, balls[j], masks[j])
-            if (c := consider(cand))[0] > current[0]:
-                ws, current = cand, c
-            else:
+            c = consider(cand, live)
+            won = c[0] > current[0][live]
+            live = live[won]
+            current[0][live] = c[0][won]
+            for j in trained:
+                ws[j] = ws[j].copy()
+                ws[j][live] = cand[j][won]
+            for old, new in zip(current[1:], c[1:]):
+                for a, b in zip(old, new):
+                    if a.ndim == 3:
+                        a[live] = b[won]
+            if not live.size:
                 break
+        return best_val, best_ws
 
-    out_weights = [w if c is None else w * c.radius for w, c in zip(best_ws, spec.balls)]
-    return multiplier * best_val, out_weights
+    # per sign vector, the zero function (in the class whenever some layer is
+    # trainable) and then each restart's best, in order
+    n = len(signs)
+    value = np.full(n, -math.inf)
+    weights = [np.repeat(w[None], n, axis=0) for w in base_weights]
+    if trained:
+        zero_ws = list(base_weights)
+        zero_ws[trained[0]] = np.zeros_like(zero_ws[trained[0]])
+        zero_ws = feasible(zero_ws)
+        value = (signs[:, None, :] @ _run_layers(zero_ws, acts, x)[0])[:, 0, 0] / m
+        for j in trained:
+            weights[j] = np.repeat(zero_ws[j][None], n, axis=0)
+    block = max(1, ASCENT_BLOCK_BYTES // _trajectory_bytes(spec, m))
+    for start in range(0, n * restarts, block):
+        runs = np.arange(start, min(start + block, n * restarts))
+        best_val, best_ws = ascend(runs)
+        for k in range(restarts):
+            sel = runs % restarts == k
+            i = runs[sel] // restarts
+            won = best_val[sel] > value[i]
+            value[i[won]] = best_val[sel][won]
+            for j in trained:
+                weights[j][i[won]] = best_ws[j][sel][won]
+    for j in trained:
+        weights[j] = weights[j] * spec.balls[j].radius
+    values = multiplier * value
+    if single:
+        return float(values[0]), [w[0] for w in weights]
+    return values, weights
 
 
 def mc_rademacher(spec: ClassSpec, data: Dataset, epsilon_samples: int,
                   restarts: int = 8, steps: int = 500, seed: int = 0) -> RademacherEstimate:
     """Monte Carlo estimate: average the ascent supremum over sampled signs.
 
-    Lower-biased for the true complexity (the inner sup is under-estimated).
+    Sample i draws its sign vector from ``_rng(seed, i, 0)`` and seeds its
+    restarts from the (i, 1) child of seed.  The samples ascend in blocks,
+    each one :func:`sup_ascent` call whose trajectories fit in
+    ASCENT_BLOCK_BYTES (one sample at least), so that the weights it returns
+    stay within that too; the trajectories are independent, so the blocks do
+    not change the result.  Lower-biased for the true complexity (the inner
+    sup is under-estimated).  A per-sample value above the class's cap
+    (:func:`_value_cap`, 1e-9 relative) can only come from an infeasible
+    candidate and raises VerificationError.
     """
     if epsilon_samples < 2:
         raise ValueError("need at least 2 epsilon samples")
-    vals = np.empty(epsilon_samples)
-    for i in range(epsilon_samples):
-        eps = _rng(seed, i, 0).choice([-1.0, 1.0], size=data.m)
-        sub_seed = int(np.random.SeedSequence(entropy=seed, spawn_key=(i, 1)).generate_state(1)[0])
-        vals[i], _ = sup_ascent(eps, spec, data, restarts=restarts, steps=steps, seed=sub_seed)
+    signs = np.array([_rng(seed, i, 0).choice([-1.0, 1.0], size=data.m)
+                      for i in range(epsilon_samples)])
+    seeds = [int(np.random.SeedSequence(entropy=seed, spawn_key=(i, 1)).generate_state(1)[0])
+             for i in range(epsilon_samples)]
+    # sup_ascent refuses restarts < 1
+    block = max(1, ASCENT_BLOCK_BYTES // (max(restarts, 1) * _trajectory_bytes(spec, data.m)))
+    vals = np.concatenate([
+        sup_ascent(signs[b:b + block], spec, data, restarts=restarts, steps=steps,
+                   seed=seeds[b:b + block])[0]
+        for b in range(0, epsilon_samples, block)])
+    cap = _value_cap(spec, data)
+    worst = float(vals.max())
+    if worst > cap * (1.0 + 1e-9):
+        raise VerificationError(f"ascent value {worst} exceeds the class's cap {cap}: "
+                                "an infeasible candidate was evaluated")
     return sampled_estimate(vals, seed, restarts=restarts, steps=steps)
 
 

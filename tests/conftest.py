@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import sys
 
@@ -5,8 +6,20 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
 
+from capnet import matlin
 from capnet.network import Dataset, Layer, Network
+
+
+# every norm kind a ball can take, with Schatten exponents on both sides of 2
+NORM_KINDS = [matlin.SPECTRAL, matlin.FROBENIUS, matlin.ROWS_L2_SUM, matlin.ROWS_L1_MAX,
+              matlin.schatten(1), matlin.schatten(1.5), matlin.schatten(2), matlin.schatten(4)]
+
+
+def kind_id(kind):
+    return kind.tag if kind.p is None else f"schatten{kind.p:g}"
 
 
 @pytest.fixture
@@ -27,3 +40,17 @@ def sphere_points(rng, m, dim, radius=1.0):
     pts = rng.standard_normal((m, dim))
     pts *= radius / np.linalg.norm(pts, axis=1, keepdims=True)
     return Dataset(points=pts)
+
+
+def load_perfbench(name):
+    """Import perfbench/<name>.py without writing a bytecode cache there."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  os.path.join(PERFBENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module

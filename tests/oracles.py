@@ -189,3 +189,242 @@ def sphere_points_per_point(dim: int, count: int, seed: int, key=()) -> np.ndarr
         norm = float(np.linalg.norm(v))
         pts[i] = v / norm if norm > 0 else np.eye(dim)[0]
     return pts
+
+
+# ---------------------------------------------------------------------------
+# The constrained ascent, one sign vector and one restart at a time
+# ---------------------------------------------------------------------------
+#
+# This was ``rademacher.sup_ascent`` (with its ``_enforce``,
+# ``_scale_to_boundary``, ``_backward`` and forward loop, and
+# ``matlin.project_to_ball`` and ``matlin.linear_maximizer``) before every
+# sample and restart ran as one stacked ascent, kept verbatim on the 2-D
+# matlin primitives; the stacked ascent must equal it bit for bit.
+
+def _run_layers_2d(weights, acts, a):
+    from capnet.network import activation_batch
+
+    inputs, preacts = [], []
+    for w, act in zip(weights, acts):
+        inputs.append(a)
+        z = a @ w.T
+        preacts.append(z)
+        a = z if act is None else activation_batch(act, z)
+    return a, inputs, preacts
+
+
+def _backward_2d(weights, acts, inputs, preacts, g_out):
+    grads = [None] * len(weights)
+    g = g_out[:, None]
+    for j in range(len(weights) - 1, -1, -1):
+        z = preacts[j]
+        if j < len(weights) - 1:
+            act = acts[j]
+            if act == "relu":
+                g = g * (z > 0)
+            elif act == "max_to_scalar":
+                routed = np.zeros_like(z)
+                routed[np.arange(z.shape[0]), z.argmax(axis=1)] = g[:, 0]
+                g = routed
+        grads[j] = g.T @ inputs[j]
+        if j > 0:
+            g = g @ weights[j]
+    return grads
+
+
+def project_to_ball_2d(w, c):
+    from capnet.matlin import (matrix_norm, project_l1_ball, project_l1_rows, project_lp_ball,
+                               singular_norm, svd)
+
+    w = np.asarray(w, dtype=np.float64)
+    kind = c.kind
+    limit = c.radius * (1.0 + 1e-12)
+    if kind.tag in ("spectral", "schatten"):
+        r = svd(w)
+        if singular_norm(r.singular, kind) <= limit:
+            return w
+        if kind.tag == "spectral":
+            s = np.minimum(r.singular, c.radius)
+        else:
+            s = project_lp_ball(r.singular, kind.p, c.radius)
+        out, norm = (r.left * s) @ r.right.T, singular_norm(s, kind)
+    else:
+        if matrix_norm(w, kind) <= limit:
+            return w
+        if kind.tag == "frobenius":
+            out = w * (c.radius / float(np.linalg.norm(w)))
+        elif kind.tag == "rows_l1_max":
+            out = project_l1_rows(w, c.radius)
+        else:
+            norms = np.sqrt((w * w).sum(axis=1))
+            shrunk = project_l1_ball(norms, c.radius)
+            scale = np.divide(shrunk, norms, out=np.zeros_like(norms), where=norms > 0)
+            out = w * scale[:, None]
+        norm = matrix_norm(out, kind)
+    return out if norm <= limit else project_to_ball_2d(out, c)
+
+
+def _lp_support_2d(g, p, radius):
+    from capnet.matlin import _lp_vec_norm, dual_exponent
+
+    if p == 1.0:
+        out = np.zeros_like(g)
+        out[int(np.argmax(g))] = radius
+        return out
+    q = dual_exponent(p)
+    top = float(g.max())
+    if top == 0.0:
+        return np.zeros_like(g)
+    scaled = (g / top) ** (q - 1.0)
+    return radius * scaled / _lp_vec_norm(scaled, p)
+
+
+def linear_maximizer_2d(g, c):
+    from capnet.matlin import as_matrix, svd
+
+    kind = c.kind
+    if kind.tag in ("spectral", "schatten"):
+        r = svd(g)
+        if not r.singular[0] > 0:
+            return np.zeros((r.left.shape[0], r.right.shape[0]))
+        if kind.tag == "spectral":
+            return c.radius * (r.left @ r.right.T)
+        return (r.left * _lp_support_2d(r.singular, kind.p, c.radius)) @ r.right.T
+    g = as_matrix(g)
+    if not g.any():
+        return np.zeros_like(g)
+    if kind.tag == "frobenius":
+        return g * (c.radius / float(np.linalg.norm(g)))
+    if kind.tag == "rows_l1_max":
+        out = np.zeros_like(g)
+        idx = np.abs(g).argmax(axis=1)
+        rows = np.arange(g.shape[0])
+        out[rows, idx] = c.radius * np.sign(g[rows, idx])
+        return out
+    norms = np.sqrt((g * g).sum(axis=1))
+    best = int(norms.argmax())
+    out = np.zeros_like(g)
+    out[best] = g[best] * (c.radius / norms[best])
+    return out
+
+
+def enforce_2d(w, c, mask):
+    from capnet.matlin import matrix_norm
+
+    if mask is None:
+        return project_to_ball_2d(w, c)
+    w = w * mask
+    for _ in range(8):
+        out = project_to_ball_2d(w, c)
+        if out is w:
+            return w
+        w = out * mask
+    worst = matrix_norm(w, c.kind) / c.radius
+    return w / worst if worst > 1.0 else w
+
+
+def _scale_to_boundary_2d(w, c):
+    from capnet.matlin import matrix_norm
+
+    n = matrix_norm(w, c.kind)
+    return w * (c.radius / n) if n > 0 else w
+
+
+def sup_ascent_per_restart(eps, spec, data, restarts=8, steps=500, seed=0):
+    """One sign vector's ascent, restart after restart (see the section note)."""
+    from capnet.matlin import BallConstraint
+    from capnet.network import _rng
+
+    eps = np.asarray(eps, dtype=np.float64)
+    x = data.points
+    m = data.m
+    acts = [l.activation for l in spec.template.layers]
+    masks = spec.masks
+    trained = [j for j, c in enumerate(spec.balls) if c is not None]
+
+    multiplier = 1.0
+    balls = [None if c is None else BallConstraint(c.kind, 1.0) for c in spec.balls]
+    base_weights = [l.weight for l in spec.template.layers]
+    for j in trained:
+        multiplier *= spec.balls[j].radius
+        base_weights[j] = base_weights[j] / spec.balls[j].radius
+
+    g_out = eps / m
+
+    def feasible(ws):
+        return [w if c is None else enforce_2d(w, c, mk) for w, c, mk in zip(ws, balls, masks)]
+
+    def masked_grads(ws, inputs, preacts):
+        grads = _backward_2d(ws, acts, inputs, preacts, g_out)
+        return [g if mk is None else g * mk for g, mk in zip(grads, masks)]
+
+    best_val = -math.inf
+    best_ws = None
+
+    def consider(ws):
+        nonlocal best_val, best_ws
+        y, inputs, preacts = _run_layers_2d(ws, acts, x)
+        v = float(eps @ y[:, 0]) / m
+        if v > best_val:
+            best_val, best_ws = v, [w.copy() for w in ws]
+        return v, inputs, preacts
+
+    if trained:
+        zero_ws = list(base_weights)
+        zero_ws[trained[0]] = np.zeros_like(zero_ws[trained[0]])
+        consider(feasible(zero_ws))
+
+    corr = (eps @ x) / m
+    for k in range(restarts):
+        ws = [w.copy() for w in base_weights]
+        if k == 0 and balls[0] is not None:
+            w1 = np.tile(corr, (ws[0].shape[0], 1))
+            if masks[0] is not None:
+                w1 = w1 * masks[0]
+            ws[0] = _scale_to_boundary_2d(w1, balls[0])
+        else:
+            rng = _rng(seed, k)
+            for j in trained:
+                w = rng.standard_normal(ws[j].shape)
+                if masks[j] is not None:
+                    w = w * masks[j]
+                ws[j] = _scale_to_boundary_2d(w, balls[j])
+        ws = feasible(ws)
+        for t in range(1, steps + 1):
+            grads = masked_grads(ws, *consider(ws)[1:])
+            lr = 0.1 / math.sqrt(t)
+            for j in trained:
+                ws[j] = enforce_2d(ws[j] + lr * grads[j], balls[j], masks[j])
+        current = consider(ws)
+        if trained:
+            flipped = list(ws)
+            flipped[trained[-1]] = -flipped[trained[-1]]
+            if (f := consider(flipped))[0] > current[0]:
+                ws, current = flipped, f
+        for _ in range(4):
+            grads = masked_grads(ws, *current[1:])
+            cand = list(ws)
+            for j in trained:
+                cj = linear_maximizer_2d(grads[j], balls[j]) if grads[j].any() else ws[j]
+                cand[j] = enforce_2d(cj, balls[j], masks[j])
+            if (c := consider(cand))[0] > current[0]:
+                ws, current = cand, c
+            else:
+                break
+
+    out_weights = [w if c is None else w * c.radius for w, c in zip(best_ws, spec.balls)]
+    return multiplier * best_val, out_weights
+
+
+def mc_values_per_sample(spec, data, epsilon_samples, restarts=8, steps=500, seed=0):
+    """The per-sample values of ``rademacher.mc_rademacher``, one
+    :func:`sup_ascent_per_restart` call per sample."""
+    from capnet.network import _rng
+
+    vals = np.empty(epsilon_samples)
+    for i in range(epsilon_samples):
+        eps = _rng(seed, i, 0).choice([-1.0, 1.0], size=data.m)
+        sub_seed = int(np.random.SeedSequence(entropy=seed, spawn_key=(i, 1)).generate_state(1)[0])
+        vals[i], _ = sup_ascent_per_restart(eps, spec, data, restarts=restarts, steps=steps,
+                                            seed=sub_seed)
+    return vals

@@ -11,38 +11,20 @@ recorded references) and writes its input files under pytest's tmp_path.
 
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
 import os
-import sys
 
 import pytest
 
 from capnet import cli
-
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                         "perfbench")
-
-
-def _load(name):
-    """Import perfbench/<name>.py without writing a bytecode cache there."""
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
-                                                  os.path.join(PERFBENCH, f"{name}.py"))
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = dont_write
-    return module
+from conftest import PERFBENCH, load_perfbench
 
 
 def _run_against_references(workload, entry, tmp_path, labels=None):
     """Run the workload's commands (those named in labels, if given) on input
     set entry and compare each stdout's sha256 with the recorded reference."""
-    inputs, workloads = _load("inputs"), _load("workloads")
+    inputs, workloads = load_perfbench("inputs"), load_perfbench("workloads")
     with open(os.path.join(PERFBENCH, "references.json"), encoding="utf-8") as fh:
         refs = json.load(fh)[workload][str(entry)]
     net, data, seed = inputs.generate(entry)
@@ -65,8 +47,10 @@ def _run_against_references(workload, entry, tmp_path, labels=None):
 
 
 @pytest.mark.parametrize("workload", ["ascent-schatten", "ascent-cheap-ball"])
-@pytest.mark.parametrize("entry", [0, 1])
+@pytest.mark.parametrize("entry", range(8))
 def test_rademacher_bytes_match_references(workload, entry, tmp_path):
+    # every input set: the ascent runs all samples and restarts as one stack,
+    # which must print what the per-sample loop printed
     cmds = _run_against_references(workload, entry, tmp_path)
     assert all(cmd.argv[0] == "rademacher" for cmd in cmds)
 
@@ -89,7 +73,7 @@ def test_sweep_bytes_match_references(entry, tmp_path):
 
 @pytest.mark.parametrize("workload", ["ascent-schatten", "ascent-cheap-ball", "analysis"])
 def test_every_benchmark_flag_is_accepted(workload, tmp_path):
-    workloads = _load("workloads")
+    workloads = load_perfbench("workloads")
     parser = cli.build_parser()
     cmds = workloads.commands(workload, "net.json", "data.json", 7, str(tmp_path))
     cmds += workloads.probe(workload, "net.json", "data.json", 7)

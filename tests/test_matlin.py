@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from capnet import matlin
-from oracles import (nearest_in_ball_grid, project_l1_rows_loop, project_lp_ball_bisection,
-                     project_rows_l1_max_loop, projection_via_slsqp,
-                     singular_values_via_gram)
+from conftest import NORM_KINDS, kind_id
+from oracles import (linear_maximizer_2d, nearest_in_ball_grid, project_l1_rows_loop,
+                     project_lp_ball_bisection, project_rows_l1_max_loop, project_to_ball_2d,
+                     projection_via_slsqp, singular_values_via_gram)
 
 small_matrices = arrays(
     np.float64, st.tuples(st.integers(1, 5), st.integers(1, 5)),
@@ -410,3 +411,71 @@ class TestBatchedL1Projection:
         w = np.array([[1e20, -1e20], [0.5, 0.0]])
         assert np.array_equal(matlin.project_l1_ball(w[0], 1.0), [0.0, -0.0])
         assert np.array_equal(matlin.project_l1_rows(w, 1.0), [[0.0, -0.0], [0.5, 0.0]])
+
+
+class TestStacks:
+    """A stack (n, rows, cols) gives every slice the bits of the same call on
+    that matrix alone; the 2-D projection and support map are compared with
+    their pre-stack forms kept in the oracles."""
+
+    @staticmethod
+    def _stack(rng):
+        n, rows, cols = rng.integers(1, 6), rng.integers(1, 8), rng.integers(1, 8)
+        w = rng.standard_normal((n, rows, cols)) * 10.0 ** rng.uniform(-2, 4, size=(n, 1, 1))
+        w[rng.random(n) < 0.2] = 0.0
+        return w
+
+    @pytest.mark.parametrize("kind", NORM_KINDS, ids=kind_id)
+    def test_projection_support_map_and_norm_per_slice(self, kind, rng):
+        for _ in range(30):
+            w = self._stack(rng)
+            c = matlin.BallConstraint(kind, float(rng.uniform(0.5, 3.0)))
+            out, lm, norms = (matlin.project_to_ball(w, c), matlin.linear_maximizer(w, c),
+                              matlin.matrix_norm(w, kind))
+            assert out.shape == lm.shape == w.shape and norms.shape == (len(w),)
+            for i, wi in enumerate(w):
+                want = project_to_ball_2d(wi, c)
+                assert np.array_equal(out[i], want)
+                assert np.array_equal(matlin.project_to_ball(wi, c), want)
+                assert np.array_equal(lm[i], linear_maximizer_2d(wi, c))
+                assert np.array_equal(matlin.linear_maximizer(wi, c), lm[i])
+                assert norms[i] == matlin.matrix_norm(wi, kind)
+
+    def test_svd_and_singular_values_per_slice(self, rng):
+        for _ in range(20):
+            w = self._stack(rng)
+            r, sv = matlin.svd(w), matlin.singular_values(w)
+            for i, wi in enumerate(w):
+                ri = matlin.svd(wi)
+                assert np.array_equal(r.left[i], ri.left)
+                assert np.array_equal(r.singular[i], ri.singular)
+                assert np.array_equal(r.right[i], ri.right)
+                assert np.array_equal(sv[i], matlin.singular_values(wi))
+                assert np.array_equal(r.reconstruct()[i], ri.reconstruct())
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    def test_lp_projection_per_row(self, p, rng):
+        v = rng.standard_normal((6, 5)) * 10.0 ** rng.uniform(-1, 2, size=(6, 1))
+        out = matlin.project_lp_ball(v, p, 1.3)
+        for row, got in zip(v, out):
+            assert np.array_equal(got, matlin.project_lp_ball(row, p, 1.3))
+
+    def test_inside_slices_keep_their_bits(self, rng):
+        w = rng.standard_normal((3, 4, 3))
+        w[1] *= 1e-3
+        kind = matlin.schatten(1)
+        c = matlin.BallConstraint(kind, 2.0 * matlin.matrix_norm(w[1], kind))
+        out = matlin.project_to_ball(w, c)
+        assert np.array_equal(out[1], w[1])
+        assert not np.array_equal(out[0], w[0])
+
+    def test_stack_validation(self):
+        c = matlin.BallConstraint(matlin.SPECTRAL, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            matlin.project_to_ball(np.full((2, 2, 2), np.nan), c)
+        with pytest.raises(ValueError, match="positive"):
+            matlin.svd(np.zeros((0, 2, 2)))
+        with pytest.raises(ValueError, match="2-D"):
+            matlin.project_to_ball(np.ones(3), c)
+        with pytest.raises(ValueError, match="2-D"):
+            matlin.matrix_norm(np.ones((1, 2, 2, 2)), matlin.FROBENIUS)

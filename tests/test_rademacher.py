@@ -1,12 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from capnet import cli, lowerbound, matlin, rademacher, verify
-from capnet.network import Dataset, Layer, Network
-from conftest import make_net, sphere_points
-from oracles import all_signs, enumerate_linear_class_value, sign_mean_by_chunks
+from capnet.network import (Dataset, Layer, Network, dataset_from_obj, network_from_obj,
+                            save_dataset, save_network)
+from conftest import NORM_KINDS, kind_id, load_perfbench, make_net, sphere_points
+from oracles import (all_signs, enumerate_linear_class_value, mc_values_per_sample,
+                     sign_mean_by_chunks, sup_ascent_per_restart)
 
 
 def linear_spec(dim, radius=1.0, kind=None):
@@ -185,7 +188,8 @@ class TestEnforce:
     @pytest.mark.parametrize("p", [math.inf, 4.0, 2.0, 1.5, 1.0])
     def test_one_svd_per_layer_per_step(self, p, monkeypatch):
         # the norm check and the projection share one SVD, and the projected
-        # point needs no re-check
+        # point needs no re-check; the restarts step as one stack, so one
+        # stacked SVD serves every restart's layer
         net = verify.random_net(np.random.default_rng(0), depth=4, max_width=8,
                                 scalar_output=True, input_dim=6)
         data = Dataset(points=np.random.default_rng(5).standard_normal((32, 6)))
@@ -204,7 +208,7 @@ class TestEnforce:
         steps = 6
         rademacher.sup_ascent(eps, cli._ball_class(net, p), data, restarts=2, steps=steps,
                               seed=3)
-        assert len(per_call) >= 2 * steps * net.depth
+        assert len(per_call) >= steps * net.depth
         assert set(per_call) == {1}
 
     @pytest.mark.parametrize("kind", [matlin.SPECTRAL, matlin.schatten(1), matlin.schatten(1.5),
@@ -219,6 +223,204 @@ class TestEnforce:
                 c = matlin.BallConstraint(kind, float(rng.uniform(0.1, 3.0)))
                 out = rademacher._enforce(w, c, None)
                 assert matlin.matrix_norm(out, kind) <= c.radius * (1 + 1e-12)
+
+
+class TestStackedAscent:
+    """One stacked sup_ascent over n sign vectors x restarts equals the
+    per-restart loop it replaced (oracles.sup_ascent_per_restart) bit for
+    bit: every value with ==, every weight with array_equal."""
+
+    @staticmethod
+    def _check(spec, data, n, restarts, steps):
+        rng = np.random.default_rng([n, restarts, steps])
+        eps = rng.choice([-1.0, 1.0], size=(n, data.m))
+        seeds = rng.integers(0, 2 ** 32, size=n).tolist()
+        vals, ws = rademacher.sup_ascent(eps, spec, data, restarts=restarts, steps=steps,
+                                         seed=seeds)
+        assert vals.shape == (n,)
+        assert [w.shape for w in ws] == [(n,) + l.weight.shape for l in spec.template.layers]
+        for i in range(n):
+            want, want_ws = sup_ascent_per_restart(eps[i], spec, data, restarts, steps, seeds[i])
+            assert vals[i] == want, (i, n, restarts, steps)
+            assert all(np.array_equal(w[i], v) for w, v in zip(ws, want_ws)), (i, n)
+        # a lone sign vector with an int seed is a stack of one
+        one, one_ws = rademacher.sup_ascent(eps[0], spec, data, restarts=restarts,
+                                            steps=steps, seed=seeds[0])
+        assert isinstance(one, float) and one == vals[0]
+        assert all(np.array_equal(w, v[0]) for w, v in zip(one_ws, ws))
+        # and no value passes the class's feasibility cap
+        assert vals.max() <= rademacher._value_cap(spec, data) * (1 + 1e-9)
+
+    @pytest.mark.parametrize("kind", NORM_KINDS, ids=kind_id)
+    def test_equals_per_restart_loop(self, kind):
+        rng = np.random.default_rng(17)
+        relu = make_net([rng.standard_normal((4, 3)), rng.standard_normal((3, 4)),
+                         rng.standard_normal((1, 3))])
+        mixed = make_net([rng.standard_normal((4, 3)), rng.standard_normal((3, 4)), [[0.7]]],
+                         ["identity", "max_to_scalar", None])
+        data = Dataset(points=rng.standard_normal((10, 3)))
+
+        def balls(net, frozen=()):
+            # radii below the template's norms, so the template starts outside
+            return tuple(None if j in frozen else
+                         matlin.BallConstraint(kind, 0.8 * matlin.matrix_norm(l.weight, kind))
+                         for j, l in enumerate(net.layers))
+
+        mask = (rng.random((4, 3)) < 0.6).astype(float)
+        classes = [
+            rademacher.ClassSpec(relu, balls(relu)),
+            rademacher.ClassSpec(mixed, balls(mixed)),
+            rademacher.ClassSpec(relu, balls(relu, frozen=(1,))),   # a frozen middle layer
+            rademacher.ClassSpec(relu, balls(relu, frozen=(0,))),   # a frozen first layer
+            rademacher.ClassSpec(relu, balls(relu), masks=(mask, None, None)),
+        ]
+        for spec in classes:
+            for n, restarts, steps in itertools.product((1, 2, 5), (1, 3), (0, 1, 7)):
+                self._check(spec, data, n, restarts, steps)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, math.inf])
+    def test_masked_diagonal_class_with_frozen_tail(self, p):
+        cons, spec = lowerbound.build_diag(h=3, m=7, p=p, B=2.0, gamma=0.5,
+                                           budgets=(1.3, 0.7, 1.1))
+        for n, restarts, steps in itertools.product((1, 2, 5), (1, 3), (0, 1, 7)):
+            self._check(spec, cons.data, n, restarts, steps)
+
+    @pytest.mark.parametrize("stack", [1, 2])
+    def test_small_stacks_equal_per_restart_loop(self, stack, monkeypatch):
+        # stacks of one or two trajectories, so that with 3 restarts a stack
+        # ends inside a sign vector's restarts and splits them
+        cons, diag = lowerbound.build_diag(h=3, m=7, p=1.5, B=2.0, gamma=0.5,
+                                           budgets=(1.3, 0.7, 1.1))
+        net = verify.random_net(np.random.default_rng(4), depth=3, max_width=5,
+                                scalar_output=True, input_dim=3)
+        data = Dataset(points=np.random.default_rng(8).standard_normal((9, 3)))
+        for spec, data_ in ((diag, cons.data), (cli._ball_class(net, math.inf), data)):
+            monkeypatch.setattr(rademacher, "ASCENT_BLOCK_BYTES",
+                                stack * rademacher._trajectory_bytes(spec, data_.m))
+            for n, restarts, steps in itertools.product((1, 2, 5), (1, 3), (0, 7)):
+                self._check(spec, data_, n, restarts, steps)
+
+    @pytest.mark.parametrize("p", [math.inf, 1.0, 1.5])
+    def test_mc_rademacher_equals_per_sample_loop(self, p):
+        net = verify.random_net(np.random.default_rng(4), depth=3, max_width=5,
+                                scalar_output=True, input_dim=3)
+        data = Dataset(points=np.random.default_rng(8).standard_normal((9, 3)))
+        spec = cli._ball_class(net, p)
+        est = rademacher.mc_rademacher(spec, data, epsilon_samples=5, restarts=3, steps=7,
+                                       seed=9)
+        vals = mc_values_per_sample(spec, data, 5, restarts=3, steps=7, seed=9)
+        assert est == rademacher.sampled_estimate(vals, 9, restarts=3, steps=7)
+
+    @pytest.mark.parametrize("block", [1, 2])
+    def test_mc_rademacher_in_blocks_equals_per_sample_loop(self, block, monkeypatch):
+        net = verify.random_net(np.random.default_rng(4), depth=3, max_width=5,
+                                scalar_output=True, input_dim=3)
+        data = Dataset(points=np.random.default_rng(8).standard_normal((9, 3)))
+        spec = cli._ball_class(net, 1.5)
+        per_sample = 3 * rademacher._trajectory_bytes(spec, data.m)
+        monkeypatch.setattr(rademacher, "ASCENT_BLOCK_BYTES", block * per_sample + 7)
+        ascent, sizes = rademacher.sup_ascent, []
+
+        def counted(eps, *args, **kwargs):
+            sizes.append(len(eps))
+            return ascent(eps, *args, **kwargs)
+
+        monkeypatch.setattr(rademacher, "sup_ascent", counted)
+        est = rademacher.mc_rademacher(spec, data, epsilon_samples=5, restarts=3, steps=7,
+                                       seed=9)
+        assert sizes == [block] * (5 // block) + [5 % block] * (5 % block > 0)
+        vals = mc_values_per_sample(spec, data, 5, restarts=3, steps=7, seed=9)
+        assert est == rademacher.sampled_estimate(vals, 9, restarts=3, steps=7)
+
+    def test_one_seed_per_sign_vector(self):
+        data = Dataset(points=np.eye(2))
+        eps = np.array([[1.0, -1.0], [-1.0, -1.0]])
+        with pytest.raises(ValueError, match="one seed per sign vector"):
+            rademacher.sup_ascent(eps, linear_spec(2), data, restarts=1, steps=1, seed=[3])
+        with pytest.raises(ValueError, match="stack"):
+            rademacher.sup_ascent(eps[:, :1], linear_spec(2), data, restarts=1, steps=1,
+                                  seed=[3, 4])
+
+
+def _reference_net():
+    net, data, _ = load_perfbench("inputs").generate(0)
+    return network_from_obj(net), dataset_from_obj(data)
+
+
+class TestValueCap:
+    def test_reference_net(self):
+        # ROADMAP quotes these rounded: 1246, 2430, 423 and 10610
+        net, data = _reference_net()
+        caps = {p: rademacher._value_cap(cli._ball_class(net, p), data)
+                for p in (2.0, 1.5, math.inf, 1.0)}
+        assert caps == pytest.approx({2.0: 1245.5935272046804, 1.5: 2430.006302485732,
+                                      math.inf: 423.02054141529084,
+                                      1.0: 10609.655469556623}, rel=1e-12)
+
+    def test_row_l1_ball_and_frozen_layer(self, rng):
+        w1, w2 = rng.standard_normal((3, 4)), rng.standard_normal((1, 3))
+        spec = rademacher.ClassSpec(template=make_net([w1, w2]), balls=(
+            matlin.BallConstraint(matlin.ROWS_L1_MAX, 0.5), None))
+        data = Dataset(points=rng.standard_normal((6, 4)))
+        want = (math.sqrt(3) * 0.5 * np.linalg.norm(w2, 2)
+                * np.linalg.norm(data.points, axis=1).mean())
+        assert rademacher._value_cap(spec, data) == pytest.approx(want, rel=1e-12)
+
+    def test_infeasible_candidate_exits_3(self, tmp_path, monkeypatch, capsys):
+        net, data = _reference_net()
+        paths = [str(tmp_path / "net.json"), str(tmp_path / "data.json")]
+        save_network(net, paths[0])
+        save_dataset(data, paths[1])
+        argv = ["rademacher", "--network", paths[0], "--data", paths[1], "--p", "inf",
+                "--samples", "2", "--restarts", "1", "--steps", "20"]
+        assert cli.main(argv) == 0
+        enforce = rademacher._enforce
+        monkeypatch.setattr(rademacher, "_enforce", lambda w, c, mask: 2.0 * enforce(w, c, mask))
+        capsys.readouterr()
+        assert cli.main(argv) == 3
+        assert "cap" in capsys.readouterr().err
+
+
+class TestExactInnerSupremum:
+    """Per sign vector the ascent stays below the exact inner supremum.
+
+    The diagonal lower-bound class has it in closed form, scale times
+    ||(eps @ buckets)_+||_q; a single-layer linear class under a Schatten
+    ball (of a 1 x dim matrix, whose every Schatten norm is its l2 norm) has
+    the l2 norm of (1/m) sum_i eps_i x_i times the radius.
+    """
+
+    # the smallest ascent/exact ratio over the configurations below, recorded
+    # when the ascent still ran one sample and restart after another (the
+    # stacked ascent gives the same bits); a better ascent raises it
+    WORST_RATIO = 0.55868630089011
+
+    def test_never_above_and_worst_ratio_kept(self):
+        worst = math.inf
+        for h, m, p in itertools.product((2, 4), (6, 12), (1.0, 1.5, 2.0, math.inf)):
+            rng = np.random.default_rng([h, m, int(10 * min(p, 9.0))])
+            eps = rng.choice([-1.0, 1.0], size=(6, m))
+            cons, spec = lowerbound.build_diag(h=h, m=m, p=p, B=1.5, gamma=0.5,
+                                               budgets=(1.2, 0.8))
+            scale = cons.B * float(np.prod(cons.budgets)) / (cons.gamma * m)
+            exact_diag = scale * lowerbound.positive_part_dual_norm(eps @ cons.bucket_matrix(), p)
+            data = Dataset(points=rng.standard_normal((m, h)))
+            radius = 1.7
+            linear = rademacher.ClassSpec(
+                template=Network(layers=(Layer(np.full((1, h), 0.1), None),), input_dim=h),
+                balls=(matlin.BallConstraint(matlin.schatten(p), radius),))
+            exact_linear = radius * np.linalg.norm(eps @ data.points, axis=1) / m
+            for spec_, data_, exact in ((spec, cons.data, exact_diag),
+                                        (linear, data, exact_linear)):
+                vals, _ = rademacher.sup_ascent(eps, spec_, data_, restarts=3, steps=40,
+                                                seed=list(range(6)))
+                # 1e-9 relative, and the rounding of the objective's m-term
+                # sum where the supremum is 0
+                slack = m * np.finfo(float).eps * rademacher._value_cap(spec_, data_)
+                assert np.all(vals <= exact * (1 + 1e-9) + slack), (h, m, p, vals, exact)
+                pos = exact > 0
+                worst = min(worst, float((vals[pos] / exact[pos]).min()))
+        assert worst >= self.WORST_RATIO
 
 
 class TestMcRademacher:
