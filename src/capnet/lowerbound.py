@@ -9,11 +9,17 @@ Two constructions are built and evaluated exactly:
 * a scalar weight chain on constant data, whose complexity reduces to the
   mean absolute sign sum E|sum_i eps_i|.
 
-Sign expectations are enumerated exactly up to m = 22 or sampled.
+Both values depend on a sign vector only through its per-bucket sign sums
+(the scalar chain is one bucket), so each construction hands its inner value
+g and its bucket matrix to the enumeration, which evaluates g once per
+distinct sum vector and gathers each block of 2^14 per-sign-vector values
+from that table, so every block sum is that of evaluating the block's rows
+directly.  Sign expectations are enumerated exactly up to m = 22 or sampled.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,8 +29,8 @@ from . import matlin
 from .bounds import _check_gamma, bound_lower
 from .errors import VerificationError
 from .network import Dataset, Layer, Network, _index_streams
-from .rademacher import (ClassSpec, RademacherEstimate, enumeration_estimate,
-                         sampled_estimate)
+from .rademacher import (SIGN_BLOCK_BITS, ClassSpec, RademacherEstimate,
+                         enumeration_estimate, sampled_estimate)
 
 
 def positive_part_dual_norm(c: np.ndarray, p: float) -> np.ndarray:
@@ -89,6 +95,10 @@ class ScalarChainConstruction:
         if any(b <= 0 for b in self.budgets):
             raise ValueError("all budgets must be positive")
 
+    def bucket_matrix(self) -> np.ndarray:
+        """(m, 1): every point is in the one bucket, whose sign sum is sum_i eps_i."""
+        return np.ones((self.m, 1))
+
 
 def build_diag(h: int, m: int, p: float, B: float, gamma: float,
                budgets) -> tuple[DiagConstruction, ClassSpec]:
@@ -146,37 +156,41 @@ def exact_diag_rademacher(cons: DiagConstruction, samples: int = 0,
     value = (B prod_j budgets_j / (gamma m)) * E ||(c)_+||_q with
     c_k = sum_{i in A_k} eps_i.
     """
-    bmat = cons.bucket_matrix()
-    return _sign_expectation(lambda s: positive_part_dual_norm(s @ bmat, cons.p),
-                             cons, samples, seed)
+    return _sign_expectation(lambda c: positive_part_dual_norm(c, cons.p), cons, samples, seed)
 
 
 def diag_witness_rademacher(cons: DiagConstruction, samples: int = 0,
                             seed: int = 0) -> RademacherEstimate:
     """Same construction evaluated with the explicit witness weights."""
-    bmat = cons.bucket_matrix()
-    return _sign_expectation(lambda s: witness_inner_value(s @ bmat, cons.p, cons.h),
+    return _sign_expectation(lambda c: witness_inner_value(c, cons.p, cons.h),
                              cons, samples, seed)
 
 
 def exact_scalar_chain_rademacher(cons: ScalarChainConstruction, samples: int = 0,
                                   seed: int = 0) -> RademacherEstimate:
     """Complexity of the scalar chain: (B prod budgets / (gamma m)) E|sum eps|."""
-    return _sign_expectation(lambda s: np.abs(s.sum(axis=1)), cons, samples, seed)
+    return _sign_expectation(lambda c: np.abs(c[:, 0]), cons, samples, seed)
 
 
-def _sign_expectation(fn, cons, samples: int, seed: int) -> RademacherEstimate:
-    """(B prod budgets / (gamma m)) times the sign expectation of fn:
-    enumerated when samples = 0, else a Monte Carlo mean over samples >= 2."""
+def _sign_expectation(g, cons, samples: int, seed: int) -> RademacherEstimate:
+    """(B prod budgets / (gamma m)) times the sign expectation of g(s @ bmat)
+    for the construction's bucket matrix bmat: enumerated when samples = 0,
+    else a Monte Carlo mean over samples >= 2, whose sign vectors are drawn
+    one stream each and handed to g 2^14 at a time."""
     m = cons.m
+    bmat = cons.bucket_matrix()
     scale = cons.B * float(np.prod(cons.budgets)) / (cons.gamma * m)
     if samples == 0:
-        return enumeration_estimate(fn, m, lambda mean: scale * mean, "use monte-carlo")
+        return enumeration_estimate(g, m, lambda mean: scale * mean, "use monte-carlo", bmat)
     if samples < 2:
         raise ValueError(f"monte-carlo needs samples >= 2 (0 enumerates), got {samples}")
     vals = np.empty(samples)
-    for i, gen in enumerate(_index_streams(seed, (), samples)):
-        vals[i] = float(fn(gen.choice([-1.0, 1.0], size=(1, m)))[0])
+    streams = _index_streams(seed, (), samples)
+    rows = 1 << SIGN_BLOCK_BITS
+    for start in range(0, samples, rows):
+        signs = np.array([gen.choice([-1.0, 1.0], size=m)
+                          for gen in itertools.islice(streams, rows)])
+        vals[start:start + len(signs)] = g(signs @ bmat)
     return sampled_estimate(vals, seed, scale)
 
 

@@ -27,6 +27,7 @@ ENUM_CAP = 22           # exact enumeration of sign vectors caps at 2^22
 CONTRACTION_CAP = 14    # sign-enumeration cap inside the contraction harnesses
 COVER_MAX_GRID = 16     # largest x-grid for the explicit Lipschitz cover
 ASCENT_BLOCK_BYTES = 1 << 22  # weights and layer outputs of one stack of ascent trajectories
+SIGN_BLOCK_BITS = 14    # an enumeration block holds 2^14 sign vectors
 
 
 @dataclass(frozen=True)
@@ -87,35 +88,97 @@ def sign_matrix(m: int, start: int = 0, stop: int | None = None) -> np.ndarray:
     return (((idx[:, None] >> shifts) & 1) * 2 - 1).astype(np.float64)
 
 
-def _sign_mean(fn, m: int) -> float:
+def _sign_mean(fn, m: int, buckets=None) -> float:
     """Exact mean of fn over all 2^m sign vectors.
 
-    fn maps a block of sign vectors to one value per row.  Block c holds the
-    rows [c 2^14, (c+1) 2^14) of ``sign_matrix(m)`` (one block of all 2^m
-    rows when m <= 14), and the block sums are added in order.  The low 14
-    columns are the same in every block and the others are constant within
-    one, so a single array is built once and only its high columns change
-    between blocks: fn must neither keep nor modify the block it is given.
+    Block c holds the rows [c 2^14, (c+1) 2^14) of ``sign_matrix(m)`` (one
+    block of all 2^m rows when m <= 14); each block's values are summed and
+    the block sums are added in order.  fn is given one reused array after
+    another, so it must neither keep nor modify them.
+
+    Without buckets, fn maps a block of sign vectors to one value per row.
+
+    With an (m, h) 0/1 bucket matrix that puts each point in at most one
+    bucket, fn maps a stack of per-bucket sign sums ``s @ buckets`` to one
+    value per row, treating every row alike whatever the stack's size.  The
+    sum over the n_k points of bucket k takes only n_k + 1 values, so fn is
+    evaluated once on each of the prod_k (n_k + 1) sum vectors, in blocks of
+    at most 2^14 rows, into a table in mixed-radix order: a sign vector's
+    entry is at the sum of the strides of its +1 points' buckets.  Each
+    sign block gathers its values from the table at the low block's indices
+    plus the block's constant high offset, so every value, and every block
+    sum, has the bits of fn on the block's own bucket sums.
     """
-    low = min(14, m)
-    block = np.empty((1 << low, m))
-    block[:, :low] = sign_matrix(low)
-    high = np.arange(m - low, dtype=np.int64)
+    if buckets is None:
+        blocks = (fn(block) for block in _sign_blocks(m))
+    else:
+        b = np.asarray(buckets, dtype=np.int64)
+        n = b.sum(axis=0)
+        table, start = np.empty(int(np.prod(n + 1))), 0
+        for block in _count_blocks(n):
+            table[start:start + len(block)] = fn(block)
+            start += len(block)
+        weights = b @ (np.cumprod(n + 1) // (n + 1))
+        low = min(SIGN_BLOCK_BITS, m)
+        idx = _binary_sums(weights[:low])
+        blocks = (table[idx + offset] for offset in _binary_sums(weights[low:]))
     acc = 0.0
-    for c in range(1 << (m - low)):
-        block[:, low:] = ((c >> high) & 1) * 2 - 1
-        acc += float(fn(block).sum())
+    for values in blocks:
+        acc += float(values.sum())
     return acc / (1 << m)
 
 
-def enumeration_estimate(fn, m: int, value, hint: str) -> RademacherEstimate:
+def _sign_blocks(m: int):
+    """The rows of ``sign_matrix(m)`` as successive blocks of 2^14 rows (one
+    block when m <= 14).  The low 14 columns are the same in every block and
+    the others are constant within one, so a single array is built once and
+    only its high columns change between blocks: a consumer must neither
+    keep nor modify a block."""
+    low = min(SIGN_BLOCK_BITS, m)
+    block = np.empty((1 << low, m))
+    block[:, :low] = sign_matrix(low)
+    high = np.arange(m - low, dtype=np.int64)
+    for c in range(1 << (m - low)):
+        block[:, low:] = ((c >> high) & 1) * 2 - 1
+        yield block
+
+
+def _count_blocks(n):
+    """The vectors 2t - n for integer 0 <= t <= n, the sign sums of buckets
+    of n_k points, in mixed-radix order of t (t_0 fastest), as successive
+    blocks of at most 2^14 rows.  As in :func:`_sign_blocks`, the low digits
+    whose radix product fits in 2^14 rows are built once and only the high
+    columns change between blocks: a consumer must neither keep nor modify a
+    block."""
+    radix = n + 1
+    spans = np.cumprod(radix)
+    low = int(np.searchsorted(spans, 1 << SIGN_BLOCK_BITS, side="right"))
+    t = np.arange(spans[low - 1] if low else 1, dtype=np.int64)
+    block = np.empty((len(t), len(n)))
+    block[:, :low] = 2 * (t[:, None] // (spans[:low] // radix[:low]) % radix[:low]) - n[:low]
+    high_strides = np.cumprod(radix[low:]) // radix[low:]
+    for c in range(int(np.prod(radix[low:]))):
+        block[:, low:] = 2 * (c // high_strides % radix[low:]) - n[low:]
+        yield block
+
+
+def _binary_sums(weights) -> np.ndarray:
+    """Entry r is the sum of weights[i] over the set bits i of r."""
+    out = np.zeros(1, dtype=np.int64)
+    for w in weights:
+        out = np.concatenate((out, out + w))
+    return out
+
+
+def enumeration_estimate(fn, m: int, value, hint: str, buckets=None) -> RademacherEstimate:
     """The exact estimate whose value is ``value(mean)``, for the mean of fn
-    over all 2^m sign vectors (see :func:`_sign_mean`); m above ENUM_CAP is
-    refused with the caller's hint at a sampling alternative."""
+    over all 2^m sign vectors, or of fn on their bucket sums (see
+    :func:`_sign_mean`); m above ENUM_CAP is refused with the caller's hint
+    at a sampling alternative."""
     if m > ENUM_CAP:
         raise ValueError(f"m={m} exceeds the exact-enumeration cap {ENUM_CAP}; {hint}")
     return RademacherEstimate(
-        value=value(_sign_mean(fn, m)), method="exact-enumeration",
+        value=value(_sign_mean(fn, m, buckets)), method="exact-enumeration",
         epsilon_samples=2 ** m, sup_restarts=0, sup_steps=0, std_error=0.0, seed=0,
     )
 

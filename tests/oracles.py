@@ -428,3 +428,16 @@ def mc_values_per_sample(spec, data, epsilon_samples, restarts=8, steps=500, see
         vals[i], _ = sup_ascent_per_restart(eps, spec, data, restarts=restarts, steps=steps,
                                             seed=sub_seed)
     return vals
+
+
+def sign_values_per_sample(g, bucket_matrix, samples: int, seed: int) -> np.ndarray:
+    """The per-sample values of the Monte Carlo branch of
+    ``lowerbound._sign_expectation``: one fresh ``_rng(seed, i)`` sign vector
+    per sample, and g on that one vector's bucket sums."""
+    from capnet.network import _rng
+
+    m = bucket_matrix.shape[0]
+    vals = np.empty(samples)
+    for i in range(samples):
+        vals[i] = float(g(_rng(seed, i).choice([-1.0, 1.0], size=(1, m)) @ bucket_matrix)[0])
+    return vals

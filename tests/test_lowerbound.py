@@ -4,7 +4,25 @@ import numpy as np
 import pytest
 
 from capnet import lowerbound, rademacher
-from oracles import all_signs, grid_sup_positive_part, mean_abs_sign_sum
+from oracles import (all_signs, grid_sup_positive_part, mean_abs_sign_sum,
+                     sign_mean_by_chunks, sign_values_per_sample)
+
+B, GAMMA, BUDGETS = 1.3, 0.7, (1.0, 2.0)
+ORACLE_PS = (1.0, 1.5, 2.0, 3.0, 7.0, math.inf)
+
+
+def scale(m):
+    """B prod(budgets) / (gamma m), the factor in front of every sign expectation."""
+    return B * float(np.prod(BUDGETS)) / (GAMMA * m)
+
+
+def diag_inner(cons):
+    """The construction's inner values, as functions of the bucket sums c."""
+    return {
+        lowerbound.exact_diag_rademacher: lambda c: lowerbound.positive_part_dual_norm(c, cons.p),
+        lowerbound.diag_witness_rademacher:
+            lambda c: lowerbound.witness_inner_value(c, cons.p, cons.h),
+    }
 
 
 class TestBuckets:
@@ -161,3 +179,62 @@ class TestSamplesSelectTheEstimator:
         chain = lowerbound.ScalarChainConstruction(m=23, B=1.0, gamma=1.0, budgets=(1.0,))
         with pytest.raises(ValueError, match="cap 22; use monte-carlo"):
             lowerbound.exact_scalar_chain_rademacher(chain)
+
+
+class TestBucketTable:
+    """Every enumerated value equals its per-chunk evaluation on the sign rows."""
+
+    @pytest.mark.parametrize("h,m", [(h, m) for h in (1, 2, 3, 4, 8, 9, 12, 17, 30)
+                                     for m in (1, 5, 8, 13, 14, 15, 16, 18)] + [(4, 21)])
+    def test_diag_and_witness_equal_the_row_enumeration(self, h, m):
+        # empty buckets (h > m), one-point buckets, one block (m <= 14), rows wider than 8
+        ps = ORACLE_PS if m <= 16 else (1.5, math.inf) if m == 18 else (2.0,)
+        for p in ps:
+            cons, _ = lowerbound.build_diag(h, m, p, B, GAMMA, BUDGETS)
+            bmat = cons.bucket_matrix()
+            for estimator, g in diag_inner(cons).items():
+                want = scale(m) * sign_mean_by_chunks(lambda s: g(s @ bmat), m)
+                assert estimator(cons).value == want, (estimator.__name__, p)
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 8, 13, 14, 15, 16, 18, 21])
+    def test_chain_equals_the_row_enumeration(self, m):
+        chain = lowerbound.ScalarChainConstruction(m=m, B=B, gamma=GAMMA, budgets=BUDGETS)
+        want = scale(m) * sign_mean_by_chunks(lambda s: np.abs(s.sum(axis=1)), m)
+        assert lowerbound.exact_scalar_chain_rademacher(chain).value == want
+
+    def test_table_blocks_have_at_most_2_14_rows(self):
+        # h=30, m=18: every bucket has at most one point, so the table has 2^18 rows
+        cons, _ = lowerbound.build_diag(30, 18, 2.0, B, GAMMA, BUDGETS)
+        shapes = []
+
+        def g(c):
+            shapes.append(c.shape)
+            return lowerbound.positive_part_dual_norm(c, 2.0)
+
+        got = rademacher._sign_mean(g, 18, cons.bucket_matrix())
+        assert max(rows for rows, _ in shapes) <= 1 << 14
+        assert {cols for _, cols in shapes} == {30}
+        assert sum(rows for rows, _ in shapes) == 1 << 18
+        assert got == sign_mean_by_chunks(
+            lambda s: lowerbound.positive_part_dual_norm(s @ cons.bucket_matrix(), 2.0), 18)
+
+
+class TestMonteCarloOracle:
+    @pytest.mark.parametrize("h", [1, 2, 5])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, math.inf])
+    def test_equals_the_per_sample_loop(self, h, p):
+        m, samples, seed = 11, 2000, h + 7
+        cons, _ = lowerbound.build_diag(h, m, p, B, GAMMA, BUDGETS)
+        for estimator, g in diag_inner(cons).items():
+            vals = sign_values_per_sample(g, cons.bucket_matrix(), samples, seed)
+            want = rademacher.sampled_estimate(vals, seed, scale(m))
+            assert estimator(cons, samples, seed) == want, estimator.__name__
+
+    @pytest.mark.parametrize("samples", [2000, (1 << 14) + 3])
+    def test_chain_equals_the_per_sample_loop(self, samples):
+        # 2^14 + 3 samples reach g in two stacks
+        m, seed = 9, 3
+        chain = lowerbound.ScalarChainConstruction(m=m, B=B, gamma=GAMMA, budgets=BUDGETS)
+        vals = sign_values_per_sample(lambda c: np.abs(c[:, 0]), np.ones((m, 1)), samples, seed)
+        assert lowerbound.exact_scalar_chain_rademacher(chain, samples, seed) == \
+            rademacher.sampled_estimate(vals, seed, scale(m))
