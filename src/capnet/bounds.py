@@ -249,9 +249,15 @@ def _check_m(m: int) -> None:
         raise ValueError(f"sample count m must be >= 1, got {m}")
 
 
+def _check_dim(net: Network, data: Dataset) -> None:
+    if data.dim != net.input_dim:
+        raise ShapeError(f"dataset dimension {data.dim} does not match network input "
+                         f"{net.input_dim}")
+
+
 def _check_gamma(gamma: float) -> None:
-    if not gamma > 0:
-        raise ValueError(f"margin parameter gamma must be positive, got {gamma}")
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"margin parameter gamma must be finite and > 0, got {gamma}")
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +367,7 @@ def report_for(net: Network, data: Dataset, p: float = 2.0, gamma: float = 1.0,
     gamma_override / schatten_override replace the measured spectral- and
     Schatten-norm products for what-if analysis (network.override_products).
     """
-    if data.dim != net.input_dim:
-        raise ShapeError(
-            f"dataset dimension {data.dim} does not match network input {net.input_dim}"
-        )
+    _check_dim(net, data)
     prof = override_products(profile(net, p), gamma_override, schatten_override)
     ctx = BoundContext(m=data.m, B=data.radius, gamma=gamma, p=p,
                        n=net.input_dim, h=net.width, d=net.depth)

@@ -148,7 +148,9 @@ def cmd_compress(args) -> int:
     if args.data:
         if args.B is not None:
             raise ParseError("compress takes the domain radius from --data or --B, not both")
-        B = load_dataset(args.data).radius
+        data = load_dataset(args.data)
+        bounds._check_dim(net, data)
+        B = data.radius
         b_source = "dataset"
     elif args.B is not None:
         B = args.B

@@ -307,17 +307,18 @@ def _trajectory_bytes(spec: ClassSpec, m: int) -> int:
     return 8 * sum((m + l.weight.shape[1]) * l.weight.shape[0] for l in spec.template.layers)
 
 
-def sup_ascent(eps, spec: ClassSpec, data: Dataset, restarts: int = 8,
-               steps: int = 500, seed: int | list[int] = 0):
+def sup_ascent(eps, spec: ClassSpec, data: Dataset, restarts: int, steps: int,
+               seed: int | list[int] = 0):
     """Maximise (1/m) sum_i eps_i f(x_i) over the constrained class.
 
     Projected gradient ascent (step 0.1/sqrt(t)) with multiple restarts: one
     deterministic restart starts from the boundary-scaled sign-weighted data
     correlation, restart k of the others from a boundary point drawn from
-    ``_rng(seed, k)``; each restart ends with a sign flip and a few
-    support-point refinement rounds.  Every evaluated candidate is feasible,
-    so the returned value is a certified lower bound on the true supremum,
-    and it is deterministic for a fixed seed.
+    ``_rng(seed, k)``; each restart ends with a sign flip and up to 4
+    support-point refinement rounds, each round taking on only the
+    trajectories the previous one improved.  Every evaluated candidate is
+    feasible, so the returned value is a certified lower bound on the true
+    supremum, and it is deterministic for a fixed seed.
 
     eps is a +-1 vector of length m with an int seed, which returns (value,
     weights), or a stack (n, m) of them with a sequence of n seeds, which
@@ -404,7 +405,7 @@ def sup_ascent(eps, spec: ClassSpec, data: Dataset, restarts: int = 8,
                 for j in trained:
                     best_ws[j] = best_ws[j].copy()
                     best_ws[j][sel[won]] = ws[j][won]
-            return [v, inputs, preacts]
+            return v, inputs, preacts
 
         ws = [np.repeat(w[None], len(runs), axis=0) if j in trained else w
               for j, w in enumerate(base_weights)]
@@ -430,53 +431,38 @@ def sup_ascent(eps, spec: ClassSpec, data: Dataset, restarts: int = 8,
             lr = 0.1 / math.sqrt(t)
             for j in trained:
                 ws[j] = _enforce(ws[j] + lr * grads[j], balls[j], masks[j])
-        current = consider(ws, every)  # [objectives, inputs, pre-activations] at ws from here on
+        # from here on ws, their objectives val and forward caches hold only
+        # the trajectories at positions live, one slice each of a stacked array
+        live = every
+        val, *caches = consider(ws, live)
         if trained:
             # negating the output-side trainable layer is always feasible and,
             # with a linear tail, exactly flips the function's sign; rescues
             # wrong-sign basins cheaply
-            last = trained[-1]
-            flipped = list(ws)
-            flipped[last] = -ws[last]
-            f = consider(flipped, every)
-            won = f[0] > current[0]
-            if won.all():
-                ws[last], current = flipped[last], f
-            elif won.any():
-                ws[last] = np.where(won[:, None, None], flipped[last], ws[last])
-                current[0] = np.where(won, f[0], current[0])
-                for old, new in zip(current[1:], f[1:]):
-                    for a, b in zip(old, new):
-                        if a.ndim == 3:
-                            a[won] = b[won]
+            flipped = [-w if j == trained[-1] else w for j, w in enumerate(ws)]
+            f_val, *f_caches = consider(flipped, live)
+            won = f_val > val
+            val = np.where(won, f_val, val)
+            ws, *caches = ([np.where(won[:, None, None], b, a) if a.ndim == 3 else a
+                            for a, b in zip(old, new)]
+                           for old, new in zip([ws, *caches], [flipped, *f_caches]))
         # support-point refinement: jump to each ball's maximiser of the
         # linearised objective, for as long as that improves the trajectory;
         # exact for single-layer linear classes
-        live = every
         for _ in range(4):
-            sub, caches = ws, current[1:]
-            if len(live) < len(every):
-                sub = [w[live] if w.ndim == 3 else w for w in ws]
-                caches = [[a[live] if a.ndim == 3 else a for a in part] for part in caches]
-            grads = masked_grads(sub, *caches, live)
-            cand = list(sub)
+            grads = masked_grads(ws, *caches, live)
+            cand = list(ws)
             for j in trained:
                 moved = grads[j].reshape(len(live), -1).any(axis=1)[:, None, None]
-                cj = np.where(moved, matlin.linear_maximizer(grads[j], balls[j]), sub[j])
+                cj = np.where(moved, matlin.linear_maximizer(grads[j], balls[j]), ws[j])
                 cand[j] = _enforce(cj, balls[j], masks[j])
-            c = consider(cand, live)
-            won = c[0] > current[0][live]
-            live = live[won]
-            current[0][live] = c[0][won]
-            for j in trained:
-                ws[j] = ws[j].copy()
-                ws[j][live] = cand[j][won]
-            for old, new in zip(current[1:], c[1:]):
-                for a, b in zip(old, new):
-                    if a.ndim == 3:
-                        a[live] = b[won]
-            if not live.size:
+            c_val, *c_caches = consider(cand, live)
+            won = c_val > val
+            if not won.any():
                 break
+            live, val = live[won], c_val[won]
+            ws, *caches = ([a[won] if a.ndim == 3 else a for a in part]
+                           for part in [cand, *c_caches])
         return best_val, best_ws
 
     # per sign vector, the zero function (in the class whenever some layer is
@@ -511,7 +497,7 @@ def sup_ascent(eps, spec: ClassSpec, data: Dataset, restarts: int = 8,
 
 
 def mc_rademacher(spec: ClassSpec, data: Dataset, epsilon_samples: int,
-                  restarts: int = 8, steps: int = 500, seed: int = 0) -> RademacherEstimate:
+                  restarts: int, steps: int, seed: int = 0) -> RademacherEstimate:
     """Monte Carlo estimate: average the ascent supremum over sampled signs.
 
     Sample i draws its sign vector from ``_rng(seed, i, 0)`` and seeds its

@@ -148,6 +148,16 @@ class TestCompress:
                             "--r", "2"], capsys)
         assert code == 4 and "SeedSequence" in err
 
+    def test_dimension_mismatch_exit_2(self, inputs, capsys, tmp_path):
+        # the domain radius of a dataset the network cannot read certifies nothing
+        net_path, _, _, _ = inputs  # network expects dimension 2
+        data3 = tmp_path / "d3.json"
+        data3.write_text(json.dumps({"points": [[1.0, 0.0, 0.0]]}))
+        code, stdout, err = run(["compress", "--network", net_path, "--data", str(data3),
+                                 "--r", "1"], capsys)
+        assert code == 2 and "does not match" in err
+        assert stdout == ""
+
 
 class TestRademacherCmd:
     def test_structured_output(self, inputs, capsys, tmp_path, rng):
@@ -440,6 +450,21 @@ class TestBadArgumentsExit2:
                                  flag, value], capsys)
         name = flag.split("-")[-1]
         assert code == 2 and f"override of {name} must be finite and > 0" in err
+        assert stdout == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["report"],
+        ["lowerbound", "--h-grid", "2", "--m-grid", "8", "--p-grid", "2"],
+        ["sweep", "--depths", "2"],
+    ])
+    @pytest.mark.parametrize("gamma", ["inf", "0"])
+    def test_gamma_must_be_finite_and_positive(self, argv, gamma, inputs, capsys):
+        # an infinite margin would divide the floor to 0 and print 0 for bounds
+        net_path, data_path, _, _ = inputs
+        if argv[0] == "report":
+            argv = argv + ["--network", net_path, "--data", data_path]
+        code, stdout, err = run(argv + ["--gamma", gamma], capsys)
+        assert code == 2 and "gamma must be finite and > 0" in err
         assert stdout == ""
 
     @pytest.mark.parametrize("argv", [
