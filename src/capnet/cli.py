@@ -107,8 +107,10 @@ def build_parser() -> _Parser:
     sp.add_argument("--m-grid", type=_int_list, default=[8, 16])
     sp.add_argument("--p-grid", type=_float_list, default=[1.0, 2.0, math.inf])
 
+    # None marks --restarts and --steps as not given: without --samples they are refused
     sp = command("sweep", cmd_sweep, "--data --gamma --seed --samples --restarts "
-                 "--steps --out", "depth sweep with pinned norm products (CSV)", samples=0)
+                 "--steps --out", "depth sweep with pinned norm products (CSV)", samples=0,
+                 restarts=None, steps=None)
     sp.add_argument("--depths", type=_int_list, default=list(range(2, 65)))
     sp.add_argument("--family", choices=("ultrathin", "random"), default="ultrathin")
     sp.add_argument("--product", type=float, default=1.0,
@@ -144,6 +146,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_compress(args) -> int:
+    if args.samples < 0:
+        raise ParseError(f"--samples must be >= 0, got {args.samples}")
     net = load_network(args.network)
     if args.data:
         if args.B is not None:
@@ -251,6 +255,11 @@ def cmd_sweep(args) -> int:
         raise ParseError("depths must be positive")
     if not 0.0 < args.product < math.inf:
         raise ParseError(f"--product must be finite and > 0, got {args.product}")
+    ascent = [f"--{k}" for k in ("restarts", "steps") if getattr(args, k) is not None]
+    if ascent and not args.samples:
+        raise ParseError(f"{' '.join(ascent)} set the ascent, which runs only with --samples")
+    restarts, steps = (_FLAGS[f"--{k}"]["default"] if getattr(args, k) is None
+                       else getattr(args, k) for k in ("restarts", "steps"))
     if args.data:
         given = [f"--{k}" for k in ("m", "B", "dim") if getattr(args, k) is not None]
         if given:
@@ -259,6 +268,10 @@ def cmd_sweep(args) -> int:
     else:
         B = 1.0 if args.B is None else args.B
         compress._check_radius(B)
+        for flag, value, what in (("--m", args.m, "point count"), ("--dim", args.dim,
+                                                                  "input dimension")):
+            if value is not None and value < 1:
+                raise ParseError(f"{flag} ({what}) must be >= 1, got {value}")
         data = Dataset(points=B * sphere_points(4 if args.dim is None else args.dim,
                                                 16 if args.m is None else args.m,
                                                 args.seed, (2,)))
@@ -281,8 +294,7 @@ def cmd_sweep(args) -> int:
         if args.samples:
             spec = _ball_class(net, 2.0)
             est = rademacher.mc_rademacher(spec, data, epsilon_samples=args.samples,
-                                           restarts=args.restarts, steps=args.steps,
-                                           seed=args.seed)
+                                           restarts=restarts, steps=steps, seed=args.seed)
             mc_val, mc_err = est.value, est.std_error
         rows.append([d, ney, sqd, free, mc_val, mc_err])
     if active_plateau and max(active_plateau) - min(active_plateau) >= 1e-9:

@@ -2,8 +2,10 @@
 
 Matrices are 2-D float64 numpy arrays with finite entries, validated through
 :func:`as_matrix`.  The SVD, the norms, the ball projections and the support
-map also take a stack (n, rows, cols) of matrices and work slice by slice:
-every slice comes out bit-identical to the same call on that matrix alone.
+map also take a stack (n, rows, cols) of matrices and work on all of its
+slices at once, the l_p machinery of the Schatten norms on the stack's rows
+of singular values in one pass: every slice comes out bit-identical to the
+same call on that matrix alone.
 Every function here is pure: arrays are treated as immutable and are never
 modified in place, so values are safe to share between concurrent workers.
 """
@@ -254,94 +256,119 @@ def project_l1_rows(w, radius: float) -> np.ndarray:
     return np.where(inside[:, None], w, np.sign(w) * np.maximum(a - theta[:, None], 0.0))
 
 
+def _lp_row_norms(a: np.ndarray, p: float):
+    """l_p norm of every row of a stack (n, k) of vectors a >= 0, or of a
+    vector (a float64 scalar).
+
+    Each row is divided by its top value, so that a**p cannot overflow for
+    large p.  The root of each row's sum is a scalar power, libm's pow: a
+    power of a whole array follows numpy's SIMD dispatch and may round
+    differently.
+    """
+    top = a.max(axis=-1)
+    # an all-zero row divides by the least subnormal, which any top > 0 exceeds
+    sums = ((a / np.maximum(top, 5e-324)[..., None]) ** p).sum(axis=-1)
+    if p == 1.0:  # the root is the identity
+        return top * sums
+    root = 1.0 / p
+    return top * ([s ** root for s in sums.tolist()] if a.ndim > 1 else sums ** root)
+
+
 def _lp_vec_norm(a: np.ndarray, p: float) -> float:
-    # normalise by the top value so a**p cannot overflow for large p
-    top = float(a.max(initial=0.0))
-    if top == 0.0:
-        return 0.0
-    return top * float(np.sum((a / top) ** p) ** (1.0 / p))
+    """:func:`_lp_row_norms` of the vector a, as a float."""
+    return float(_lp_row_norms(a, p))
 
 
-def _lp_row_norms(a: np.ndarray, p: float) -> np.ndarray:
-    """:func:`_lp_vec_norm` of every row of a (a >= 0), bit for bit.  At p = 1
-    the powers are the identity and all rows take one pass; other p go row by
-    row, as a power of a whole array may round differently from a scalar one."""
-    if p != 1.0:
-        return np.array([_lp_vec_norm(row, p) for row in a])
-    top = a.max(axis=1, initial=0.0)
-    return top * (a / np.where(top > 0.0, top, 1.0)[:, None]).sum(axis=1)
-
-
-def _lp_shrink(a: np.ndarray, p: float, lam: float) -> np.ndarray:
-    """Solve x + lam*p*x^(p-1) = a coordinate-wise on [0, a] (a >= 0).
+def _lp_shrink(a: np.ndarray, p: float, lam) -> np.ndarray:
+    """Solve x + lam*p*x^(p-1) = a coordinate-wise on [0, a] (a >= 0), for a
+    vector a and a float lam, or for every row of a stack (n, k) with its own
+    multiplier lam[i].
 
     Safeguarded Newton: iterates stay inside a per-coordinate bracket, and
     any step that leaves it, or whose residual/derivative overflowed, falls
     back to bisection.  The bracket keeps halving on fallback, so large p
-    (where x^(p-1) overflows far from the root) still converges.
+    (where x^(p-1) overflows far from the root) still converges.  A row
+    keeps its iterate from the step at which its own stop test passes, so
+    it comes out as it would alone; a row with lam = 0 is a.
     """
-    if lam == 0.0:
-        return a.copy()
-    scale = max(1.0, float(a.max(initial=0.0)))
-    # the root also satisfies lam*p*x^(p-1) <= a, which gives a far tighter
-    # bracket top than a itself when p is large (Newton would otherwise crawl
-    # down x^(p-1) at a relative rate of only 1/(p-1) per step)
-    with np.errstate(over="ignore", divide="ignore"):
-        cap = np.power(a / (lam * p), 1.0 / (p - 1.0))
-    hi = np.minimum(a, np.where(np.isfinite(cap), cap, a))
-    if p >= 2.0:
-        # f is convex and increasing, f(cap) >= 0, and iterates never leave
-        # [root, cap], so plain Newton from the cap descends monotonically
-        # with nothing able to overflow
-        lamp = lam * p
-        x = hi
-        for _ in range(80):
-            xq = x ** (p - 2.0)
-            f = x + lamp * xq * x - a
-            nxt = x - f / (1.0 + lamp * (p - 1.0) * xq)
-            done = float(np.max(np.abs(nxt - x), initial=0.0)) <= 1e-16 * scale
-            x = nxt
-            if done:
+    x0 = a.reshape(-1, a.shape[-1])
+    scale = np.maximum(x0.max(axis=1), 1.0)
+    with np.errstate(all="ignore"):
+        # lam*p and lam*p*(p-1) element by element, as the scalar products were
+        lamp = np.repeat(np.multiply(lam, p), x0.shape[1]).reshape(x0.shape)
+        lampm = lamp * (p - 1.0)
+        live = lamp[:, 0] != 0.0
+        # the root also satisfies lam*p*x^(p-1) <= a, which gives a far tighter
+        # bracket top than a itself when p is large (Newton would otherwise crawl
+        # down x^(p-1) at a relative rate of only 1/(p-1) per step); a cap that
+        # is not finite (lam = 0 among them) leaves a
+        hi = np.fmin(x0, np.power(x0 / lamp, 1.0 / (p - 1.0)))
+        if p >= 2.0:
+            # f is convex and increasing, f(cap) >= 0, and iterates never leave
+            # [root, cap], so plain Newton from the cap descends monotonically
+            # with nothing able to overflow
+            tol = 1e-16 * scale
+            x = hi
+            for _ in range(80):
+                xq = x ** (p - 2.0)
+                f = x + lamp * xq * x - x0
+                nxt = x - f / (1.0 + lampm * xq)
+                done = np.abs(nxt - x).max(axis=1) <= tol
+                x = np.where(live[:, None], nxt, x)
+                live &= ~done
+                if not live.any():
+                    break
+            return np.maximum(x, 0.0).reshape(a.shape)
+        tol, width = 1e-13 * scale, 1e-15 * scale
+        lo = np.zeros_like(x0)
+        x = np.minimum(x0 / (1.0 + lamp), hi)
+        for _ in range(110):
+            f = x + lamp * np.power(x, p - 1.0) - x0
+            df = 1.0 + lampm * np.power(x, p - 2.0)
+            # a residual that overflowed (inf or nan) counts as 1 in the stop test
+            # and as positive in the bracket; its step is never finite
+            res = np.abs(f)
+            live &= np.where(res < np.inf, res, 1.0).max(axis=1) > tol
+            if not live.any():
                 break
-        return np.maximum(x, 0.0)
-    lo = np.zeros_like(a)
-    x = np.minimum(a / (1.0 + lam * p), hi)
-    for _ in range(110):
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            f = x + lam * p * np.power(x, p - 1.0) - a
-            df = 1.0 + lam * p * (p - 1.0) * np.power(x, p - 2.0)
-            step = f / df
-        sign = np.where(np.isnan(f), 1.0, np.sign(f))  # overflowed residual is positive
-        f = np.where(np.isnan(f), np.inf, f)
-        if np.max(np.abs(np.where(np.isfinite(f), f, 1.0)), initial=0.0) <= 1e-13 * scale:
-            break
-        lo = np.where(sign < 0, x, lo)
-        hi = np.where(sign > 0, x, hi)
-        nxt = x - step
-        bad = ~np.isfinite(nxt) | (nxt <= lo) | (nxt >= hi) | ~np.isfinite(f)
-        nxt = np.where(bad, 0.5 * (lo + hi), nxt)
-        x = nxt
-        if np.max(hi - lo, initial=0.0) <= 1e-15 * scale:
-            break
-    return np.maximum(x, 0.0)
+            lo = np.where(f < 0.0, x, lo)
+            hi = np.where(f <= 0.0, hi, x)
+            nxt = x - f / df
+            nxt = np.where((nxt > lo) & (nxt < hi), nxt, 0.5 * (lo + hi))
+            x = np.where(live[:, None], nxt, x)
+            live &= (hi - lo).max(axis=1) > width
+            if not live.any():
+                break
+    return np.maximum(x, 0.0).reshape(a.shape)
 
 
-def _lp_slope(x: np.ndarray, p: float, lam: float, phi: float) -> float:
-    """-d||x(lam)||_p / dlam at the shrink x = x(lam), whose norm is phi.
+def _lp_slope(x: np.ndarray, p: float, lam: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """-d||x(lam)||_p / dlam at the shrinks x = x(lam) of a stack (n, k), one
+    per row, whose norms are phi.
 
     Uses the implicit derivative dx/dlam = -p x^(p-1) / (1 + lam p (p-1) x^(p-2)),
-    written as -p x / (x^(2-p) + lam p (p-1)) so that no power overflows.
+    written as -p x / (x^(2-p) + lam p (p-1)) so that no power overflows, and
+    sums each row over its positive entries alone.
     """
-    x = x[x > 0]
-    with np.errstate(over="ignore", divide="ignore"):
-        dx = p * x / (x ** (2.0 - p) + lam * p * (p - 1.0))
-    return float(np.sum((x / phi) ** (p - 1.0) * dx))
+    pos = x > 0.0
+    with np.errstate(all="ignore"):
+        dx = p * x / (x ** (2.0 - p) + lam[:, None] * p * (p - 1.0))
+        terms = np.where(pos, (x / phi[:, None]) ** (p - 1.0) * dx, 0.0)
+    if x.shape[1] < 8:  # numpy sums fewer than 8 terms in order, where a zero changes nothing
+        return terms.sum(axis=1)
+    # its pairwise sum of more depends on their count: sum rows of equal count together
+    counts, out = pos.sum(axis=1), np.zeros(len(x))
+    for c in np.unique(counts[counts > 0]):
+        rows = counts == c
+        out[rows] = terms[rows][pos[rows]].reshape(-1, c).sum(axis=1)
+    return out
 
 
-def _lp_multiplier(a: np.ndarray, p: float, radius: float) -> tuple[float, float]:
+def _lp_multiplier(a: np.ndarray, p: float, radius: float):
     """The multiplier lam* at which the shrink of a (a >= 0, outside the
     ball) reaches the l_p sphere, and the half-width of a band around lam*
-    outside which the computed test ||shrink(a, lam)||_p > radius is certain.
+    outside which the computed test ||shrink(a, lam)||_p > radius is certain;
+    for a vector, or one of each for every row of a stack (n, k).
 
     The computed norm of a shrink is within err of the exact one: the inner
     solve stops within 1e-13*scale of the root in every coordinate, one
@@ -353,50 +380,64 @@ def _lp_multiplier(a: np.ndarray, p: float, radius: float) -> tuple[float, float
     (||x(lam)||_p / radius)^(1-p) - 1, which is linear in lam at p = 2 and
     for large lam, safeguarded by bisection inside [0, lam_cap], where every
     coordinate's cap (a / (lam p))^(1/(p-1)) already lies on the sphere.
-    Returns (nan, nan) when lam_cap overflows or Newton does not converge.
+    The shrinks, norms and slopes of the rows still iterating are taken
+    together; each row's Newton update is its own, in floats.  A row gets
+    (nan, nan) when lam_cap overflows or Newton does not converge.
     """
-    top = float(a.max())
-    err = a.size * (1e-13 * max(1.0, top) + 8.0 * _EPS * radius)
+    rows = a.reshape(-1, a.shape[-1])
+    top = rows.max(axis=1)
+    err = rows.shape[1] * (1e-13 * np.maximum(1.0, top) + 8.0 * _EPS * radius)
     if p == 2.0:
         # ||x(lam)||_2 = ||a||_2 / (1 + 2 lam), of slope 2 radius / (1 + 2 lam*) at lam*
-        lam = 0.5 * (_lp_vec_norm(a, 2.0) / radius - 1.0)
-        return lam, 2.0 * err * (1.0 + 2.0 * lam) / radius
-    log_cap = math.log(top / p) + (p - 1.0) * math.log(
-        _lp_vec_norm((a / top) ** (1.0 / (p - 1.0)), p) / radius)
-    if not log_cap < 709.0:
-        return math.nan, math.nan
-    lo, hi = 0.0, math.exp(log_cap)
-    lam, x = 0.0, a
+        lam = 0.5 * (_lp_row_norms(rows, 2.0) / radius - 1.0)
+        band = 2.0 * err * (1.0 + 2.0 * lam) / radius
+        return lam.reshape(a.shape[:-1]), band.reshape(a.shape[:-1])
+    star, band = np.full(len(rows), math.nan), np.full(len(rows), math.nan)
+    err = err.tolist()
+    caps = _lp_row_norms((rows / top[:, None]) ** (1.0 / (p - 1.0)), p).tolist()
+    log_caps = [math.log(t / p) + (p - 1.0) * math.log(c / radius)
+                for t, c in zip(top.tolist(), caps)]
+    live = [i for i, c in enumerate(log_caps) if c < 709.0]
+    lo, hi = [0.0] * len(rows), [math.exp(c) if c < 709.0 else 0.0 for c in log_caps]
+    lam, x = [0.0] * len(live), rows[live]
     for _ in range(60):
-        phi = _lp_vec_norm(x, p)
-        if phi > radius:
-            lo = lam
-        else:
-            hi = lam
-        slope = _lp_slope(x, p, lam, phi)
-        nxt = math.nan
-        if 0.0 < slope < math.inf:
-            ratio = phi / radius
-            step = radius * ratio * math.expm1(min(709.0, (p - 1.0) * math.log(ratio))) \
-                / ((p - 1.0) * slope)
-            band = 4.0 * err / slope
-            if abs(step) <= band / 8.0:
-                return lam + step, band
-            nxt = lam + step
-        lam = nxt if lo < nxt <= hi else 0.5 * (lo + hi)
-        x = _lp_shrink(a, p, lam)
-    return math.nan, math.nan
+        phi = _lp_row_norms(x, p).tolist()
+        slopes = _lp_slope(x, p, np.array(lam), np.array(phi)).tolist()
+        going, nxt_lam = [], []
+        for i, f, slope, at in zip(live, phi, slopes, lam):
+            if f > radius:
+                lo[i] = at
+            else:
+                hi[i] = at
+            nxt = math.nan
+            if 0.0 < slope < math.inf:
+                ratio = f / radius
+                step = radius * ratio * math.expm1(min(709.0, (p - 1.0) * math.log(ratio))) \
+                    / ((p - 1.0) * slope)
+                width = 4.0 * err[i] / slope
+                if abs(step) <= width / 8.0:
+                    star[i], band[i] = at + step, width
+                    continue
+                nxt = at + step
+            going.append(i)
+            nxt_lam.append(nxt if lo[i] < nxt <= hi[i] else 0.5 * (lo[i] + hi[i]))
+        live, lam = going, nxt_lam
+        if not live:
+            break
+        x = _lp_shrink(rows[live], p, np.array(lam))
+    return star.reshape(a.shape[:-1]), band.reshape(a.shape[:-1])
 
 
-def project_lp_ball(v, p: float, radius: float) -> np.ndarray:
+def project_lp_ball(v, p: float, radius: float, norms=None) -> np.ndarray:
     """Project a vector, or every row of a stack (n, k) of them, onto the l_p
-    ball, 1 <= p <= MAX_SCHATTEN_P.
+    ball, 1 <= p <= MAX_SCHATTEN_P.  norms, when given, are the rows' l_p
+    norms as :func:`_lp_row_norms` takes them (read for p > 1).
 
-    p = 1 uses the sorted-threshold rule, on a stack :func:`project_l1_rows`;
-    other p project a stack row by row.  General p bisects the Lagrange
-    multiplier lam of the coordinate-wise shrink x + lam*p*x^(p-1) = |v|
-    (bracket [0, max|v|/p] widened by doubling, at most 200 steps,
-    tolerance 1e-10) and returns the shrink at the final bracket's top.
+    p = 1 uses the sorted-threshold rule, on a stack :func:`project_l1_rows`.
+    General p bisects the Lagrange multiplier lam of the coordinate-wise
+    shrink x + lam*p*x^(p-1) = |v| (bracket [0, max|v|/p] widened by
+    doubling, at most 200 steps, tolerance 1e-10) and returns the shrink at
+    the final bracket's top, whose norm is at most the radius.
 
     Each bisection step only learns whether the shrink at its midpoint lies
     outside the ball, so the bisection is replayed from the multiplier lam*
@@ -407,7 +448,9 @@ def project_lp_ball(v, p: float, radius: float) -> np.ndarray:
     inside.  Outside the band the test is monotone in lam, so one wrong
     answer shows at one of the two ends; the bisection then runs again with
     every step evaluated.  Either way the result is the evaluated
-    bisection's, bit for bit.
+    bisection's, bit for bit.  The rows of a stack bisect together: each
+    round evaluates the shrinks that all rows still waiting on one need in
+    a single pass, and every row gets the bits of its projection alone.
 
     When the multiplier overflows (large p, radius far below |v|) the
     shrink comes out nan; the problem for v / radius on the unit ball, whose
@@ -416,35 +459,36 @@ def project_lp_ball(v, p: float, radius: float) -> np.ndarray:
     """
     _check_schatten_p(p)
     v = np.asarray(v, dtype=np.float64)
-    if v.ndim == 2:
-        if p == 1.0:
-            return project_l1_rows(v, radius)
-        out = np.empty_like(v)
-        for i, row in enumerate(v):
-            out[i] = _project_lp(row, p, radius)
-        return out
     if p == 1.0:
-        return project_l1_ball(v, radius)
-    return _project_lp(v, p, radius)
+        return project_l1_rows(v, radius) if v.ndim == 2 else project_l1_ball(v, radius)
+    return _project_lp(v.reshape(-1, v.shape[-1]), p, radius, norms).reshape(v.shape)
 
 
-def _project_lp(v: np.ndarray, p: float, radius: float) -> np.ndarray:
-    """:func:`project_lp_ball` of the vector v for 1 < p <= MAX_SCHATTEN_P."""
+def _project_lp(v: np.ndarray, p: float, radius: float, norms=None) -> np.ndarray:
+    """:func:`project_lp_ball` of the stack v (n, k) for 1 < p <= MAX_SCHATTEN_P."""
     a = np.abs(v)
-    if _lp_vec_norm(a, p) <= radius:
-        return v.copy()
+    if norms is None:
+        norms = _lp_row_norms(a, p)
+    out = v.copy()
+    todo = np.flatnonzero(~(norms <= radius))
+    if not todo.size:
+        return out
+    a = a[todo]
+    tops = a.max(axis=1).tolist()
 
-    def outside(lam):
-        return _lp_vec_norm(_lp_shrink(a, p, lam), p) > radius
+    def outside(rows, lam):
+        return _lp_row_norms(_lp_shrink(a[rows], p, lam), p) > radius
 
-    def bisect(pred):
-        lo, hi = 0.0, float(a.max()) / p
+    def bisect(top, star, band):
+        # one row's bisection; a step within the band yields its multiplier and
+        # is sent whether the shrink there lies outside the ball
+        lo, hi = 0.0, top / p
         # the textbook bracket max(a)/p can undershoot for p > 1; widen until feasible
-        while pred(hi):
+        while (yield hi) if abs(hi - star) <= band else hi < star:
             hi *= 2.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if pred(mid):
+            if (yield mid) if abs(mid - star) <= band else mid < star:
                 lo = mid
             else:
                 hi = mid
@@ -452,19 +496,43 @@ def _project_lp(v: np.ndarray, p: float, radius: float) -> np.ndarray:
                 break
         return lo, hi
 
+    def run(rows, bisections):
+        # step the bisections of the rows together: each round evaluates the
+        # multipliers that the unfinished ones wait on in one pass
+        ends, answers = [None] * len(rows), dict.fromkeys(range(len(rows)))
+        while answers:
+            asked = {}
+            for i, answer in answers.items():
+                try:
+                    asked[i] = bisections[i].send(answer)
+                except StopIteration as stop:
+                    ends[i] = stop.value
+            if not asked:
+                break
+            hits = outside(rows[list(asked)], np.array(list(asked.values())))
+            answers = dict(zip(asked, hits.tolist()))
+        return np.array(ends).T
+
     # (a nan lam* answers every step "inside" and is judged by the same check)
-    star, band = _lp_multiplier(a, p, radius)
-    lo, hi = bisect(lambda lam: outside(lam) if abs(lam - star) <= band else lam < star)
-    x = _lp_shrink(a, p, hi)
-    if not ((lo == 0.0 or outside(lo)) and _lp_vec_norm(x, p) <= radius):
-        with np.errstate(over="ignore", invalid="ignore"):  # nan is handled below
-            lo, hi = bisect(outside)
-            x = _lp_shrink(a, p, hi)
-        if not np.isfinite(x).all():
-            if radius == 1.0:
-                raise NumericalError(f"l_{p:g}-ball projection overflowed its multiplier")
-            return radius * _project_lp(v / radius, p, 1.0)
-    return np.sign(v) * x
+    star, band = (np.ravel(s).tolist() for s in _lp_multiplier(a, p, radius))
+    lo, hi = run(np.arange(len(a)), [bisect(*b) for b in zip(tops, star, band)])
+    # the shrinks at every bracket's top and at the bottoms above 0, in one pass
+    up = np.flatnonzero(lo != 0.0)
+    x = _lp_shrink(np.concatenate([a, a[up]]), p, np.concatenate([hi, lo[up]]))
+    ends = _lp_row_norms(x, p)
+    x, ok = x[:len(todo)], ends[:len(todo)] <= radius
+    ok[up] &= ends[len(todo):] > radius
+    redo = np.flatnonzero(~ok)
+    if redo.size:
+        hi = run(redo, [bisect(tops[i], 0.0, math.inf) for i in redo])[1]
+        x[redo] = _lp_shrink(a[redo], p, hi)
+    out[todo] = np.sign(v[todo]) * x
+    nan = todo[~np.isfinite(x).all(axis=1)]
+    if nan.size:
+        if radius == 1.0:
+            raise NumericalError(f"l_{p:g}-ball projection overflowed its multiplier")
+        out[nan] = radius * _project_lp(v[nan] / radius, p, 1.0)
+    return out
 
 
 def project_to_ball(w, c: BallConstraint) -> np.ndarray:
@@ -493,7 +561,8 @@ def _project(w: np.ndarray, c: BallConstraint) -> tuple[np.ndarray, np.ndarray]:
     limit = c.radius * (1.0 + 1e-12)
     if kind.tag in ("spectral", "schatten"):
         r = svd(w)
-        outside = ~(singular_norm(r.singular, kind) <= limit)
+        norms = singular_norm(r.singular, kind)
+        outside = ~(norms <= limit)
         every = outside.all()
         if not (every or outside.any()):
             return w, outside
@@ -503,8 +572,9 @@ def _project(w: np.ndarray, c: BallConstraint) -> tuple[np.ndarray, np.ndarray]:
             s = np.minimum(s, c.radius)
             again = None  # a clip at the radius always passes the check
         else:
-            s = project_lp_ball(s, kind.p, c.radius)
-            again = ~(singular_norm(s, kind) <= limit)
+            s = project_lp_ball(s, kind.p, c.radius, norms[pick])
+            # general p checks the norm of its result against the radius itself
+            again = ~(singular_norm(s, kind) <= limit) if kind.p == 1.0 else None
         proj = (r.left[pick] * s[:, None, :]) @ r.right[pick].swapaxes(-1, -2)
     else:
         norms = matrix_norm(w, kind)
@@ -584,11 +654,7 @@ def _lp_support(g: np.ndarray, p: float, radius: float) -> np.ndarray:
         out = np.zeros_like(g)
         np.put_along_axis(out, g.argmax(axis=-1)[..., None], radius, -1)
         return out
-    if g.ndim == 2:
-        return np.array([_lp_support(row, p, radius) for row in g])
-    q = dual_exponent(p)
-    top = float(g.max())
-    if top == 0.0:
-        return np.zeros_like(g)
-    scaled = (g / top) ** (q - 1.0)
-    return radius * scaled / _lp_vec_norm(scaled, p)
+    top = g.max(axis=-1, keepdims=True)
+    scaled = (g / np.where(top > 0.0, top, 1.0)) ** (dual_exponent(p) - 1.0)
+    norms = _lp_row_norms(scaled, p)[..., None]
+    return radius * scaled / np.where(norms > 0.0, norms, 1.0)

@@ -416,6 +416,9 @@ class TestBadArgumentsExit2:
         (["sweep", "--B", "-1", "--depths", "2"], "radius B"),
         (["sweep", "--B", "nan", "--depths", "2"], "radius B"),
         (["sweep", "--B", "inf", "--depths", "2"], "radius B"),
+        (["sweep", "--dim", "0", "--depths", "2"], "--dim"),
+        (["sweep", "--m", "-3", "--depths", "2"], "--m"),
+        (["sweep", "--m", "0", "--depths", "2"], "--m"),
     ])
     def test_sweep(self, argv, words, capsys):
         code, stdout, err = run(argv, capsys)
@@ -429,6 +432,7 @@ class TestBadArgumentsExit2:
         (["--B", "1", "--override-M", "0"], "override of M"),
         (["--B", "1", "--override-Gamma", "-2"], "override of Gamma"),
         (["--B", "1", "--override-Gamma", "nan"], "override of Gamma"),
+        (["--B", "1", "--samples", "-3"], "--samples"),
     ])
     def test_compress(self, extra, words, inputs, capsys):
         net_path, _, _, _ = inputs
@@ -486,6 +490,17 @@ class TestBadArgumentsExit2:
         assert stdout == ""
 
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--depths", "2", "--steps", "7"],
+        ["sweep", "--depths", "2", "--restarts", "3"],
+        ["sweep", "--depths", "2", "--samples", "0", "--restarts", "3", "--steps", "7"],
+    ])
+    def test_sweep_ascent_flags_need_samples(self, argv, capsys):
+        # without --samples sweep runs no ascent, which these flags would set
+        code, stdout, err = run(argv, capsys)
+        assert code == 2 and "--samples" in err and stdout == ""
+
+
 class TestSamplesAsGiven:
     def test_rademacher_zero_samples_is_refused(self, inputs, capsys, tmp_path, rng):
         _, data_path, _, _ = inputs
@@ -502,6 +517,25 @@ class TestSamplesAsGiven:
         code, stdout, _ = run(["compress", "--network", net_path, "--data", data_path,
                                "--r", "1", "--samples", samples], capsys)
         assert code == 0 and f"({samples} samples, seed 42)" in stdout
+
+    @pytest.mark.parametrize("extra, want", [
+        ([], (8, 500)),
+        (["--restarts", "3"], (3, 500)),
+        (["--steps", "7"], (8, 7)),
+    ])
+    def test_sweep_ascent_defaults(self, extra, want, capsys, monkeypatch):
+        from capnet import cli, rademacher
+        seen = []
+
+        def fake(spec, data, epsilon_samples, restarts, steps, seed):
+            seen.append((restarts, steps))
+            return rademacher.RademacherEstimate(
+                value=0.5, method="monte-carlo", epsilon_samples=epsilon_samples,
+                sup_restarts=restarts, sup_steps=steps, std_error=0.0, seed=seed)
+
+        monkeypatch.setattr(cli.rademacher, "mc_rademacher", fake)
+        code, _, _ = run(["sweep", "--depths", "2,3", "--samples", "2"] + extra, capsys)
+        assert code == 0 and seen == [want, want]
 
     def test_defaults(self):
         from capnet.cli import build_parser

@@ -1,3 +1,4 @@
+import collections
 import math
 import warnings
 
@@ -9,9 +10,9 @@ from hypothesis.extra.numpy import arrays
 
 from capnet import matlin
 from conftest import NORM_KINDS, kind_id
-from oracles import (linear_maximizer_2d, nearest_in_ball_grid, project_l1_rows_loop,
-                     project_lp_ball_bisection, project_rows_l1_max_loop, project_to_ball_2d,
-                     projection_via_slsqp, singular_values_via_gram)
+from oracles import (_lp_support_2d, linear_maximizer_2d, nearest_in_ball_grid,
+                     project_l1_rows_loop, project_lp_ball_bisection, project_rows_l1_max_loop,
+                     project_to_ball_2d, projection_via_slsqp, singular_values_via_gram)
 
 small_matrices = arrays(
     np.float64, st.tuples(st.integers(1, 5), st.integers(1, 5)),
@@ -299,6 +300,37 @@ def _lp_cases(seed, count):
     return cases
 
 
+def _lp_norm_by_row(row, p):
+    """The l_p norm of one row >= 0 as matlin took it one row at a time: a
+    numpy sum of the row's powers over its top value and a scalar root."""
+    top = float(row.max(initial=0.0))
+    return top * float(np.sum((row / top) ** p) ** (1.0 / p)) if top > 0.0 else 0.0
+
+
+def _lp_stacks(seed, count):
+    """Stacks (n, k) with k in 1..12 and about a fifth of the entries zero,
+    p in {1.01, 1.5, 2, 3, 64}, rows 0.1..10 times apart and the radius one
+    row's computed norm, so that rows lie inside, on and outside the sphere.
+    In every fifth stack p = 64, the radius is 1.25e-6 and one row has norm
+    1e-3, so far outside that its multiplier overflows and it takes the
+    unit-ball rescale."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n, k = int(rng.integers(1, 9)), int(rng.integers(1, 13))
+        p = 64.0 if i % 5 == 0 else float(rng.choice([1.01, 1.5, 2.0, 3.0, 64.0]))
+        v = rng.standard_normal((n, k)) * np.exp(rng.uniform(math.log(0.1), math.log(10.0),
+                                                             (n, 1)))
+        v[rng.random((n, k)) < 0.2] = 0.0
+        norms = [_lp_norm_by_row(np.abs(row), p) for row in v]
+        j = int(rng.integers(n))
+        radius = norms[j] or 1.0
+        if i % 5 == 0:
+            v *= 1.25e-6 / radius
+            v[j] *= 1e-3 / 1.25e-6
+            radius = 1.25e-6
+        yield v, p, radius
+
+
 class TestReplayedLpProjection:
     """project_lp_ball replays the multiplier bisection from a solved
     multiplier; its result must be the plain bisection's, bit for bit."""
@@ -344,6 +376,72 @@ class TestReplayedLpProjection:
             fallbacks += len(calls) > evaluated
             del calls[:]
         assert fallbacks >= expected >= (20 if falls_back else 0)
+
+    def test_stacks_match_rows_and_the_bisection_oracle(self):
+        # a stack projects, norms and supports every row in one pass; each row
+        # must come out as on its own and as the plain bisection has it (scaled
+        # back from the unit ball where the multiplier overflows)
+        seen = dict(inside=0, outside=0, rescaled=0, zeros_k8=0)
+        for v, p, radius in _lp_stacks(5, 60):
+            a = np.abs(v)
+            out, norms = matlin.project_lp_ball(v, p, radius), matlin._lp_row_norms(a, p)
+            support = matlin._lp_support(a, p, radius)
+            for row, got, norm, sup in zip(v, out, norms, support):
+                assert norm == matlin._lp_vec_norm(np.abs(row), p) == _lp_norm_by_row(
+                    np.abs(row), p)
+                assert np.array_equal(sup, matlin._lp_support(np.abs(row), p, radius))
+                assert np.array_equal(sup, _lp_support_2d(np.abs(row), p, radius))
+                assert np.array_equal(got, matlin.project_lp_ball(row, p, radius))
+                ref = project_lp_ball_bisection(row, p, radius)
+                if not np.isfinite(ref).all():
+                    ref = radius * project_lp_ball_bisection(row / radius, p, 1.0)
+                    seen["rescaled"] += 1
+                assert np.array_equal(got, ref) and np.array_equal(np.signbit(got),
+                                                                   np.signbit(ref))
+                seen["inside" if norm <= radius else "outside"] += 1
+                seen["zeros_k8"] += row.size >= 8 and not row.all() and norm > radius
+        assert min(seen.values()) >= 25, seen
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_wrong_multiplier_for_some_rows_falls_back_for_those(self, monkeypatch, p):
+        # a multiplier off by far more than its band for every other row of a
+        # stack: those rows evaluate their whole bisection again, the others
+        # take the same shrinks as with the right one, and every row keeps the
+        # plain bisection's bits
+        real, shrink = matlin._lp_multiplier, matlin._lp_shrink
+        calls = collections.Counter()
+
+        def counting(a, p, lam):
+            calls.update(row.tobytes() for row in a.reshape(-1, a.shape[-1]))
+            return shrink(a, p, lam)
+
+        def wrong(a, p, radius):
+            star, band = real(a, p, radius)
+            star = star.copy()
+            star[::2] += band[::2] + 1e-6 * np.maximum(1.0, star[::2])
+            return star, band
+
+        monkeypatch.setattr(matlin, "_lp_shrink", counting)
+        rng = np.random.default_rng(31)
+        v = rng.standard_normal((9, 6)) * np.exp(rng.uniform(0.0, 3.0, (9, 1)))
+        v[rng.random(v.shape) < 0.2] = 0.0
+        radius = 0.5 * min(matlin._lp_vec_norm(np.abs(row), p) for row in v)
+        refs, evaluated = [], []
+        for row in v:
+            calls.clear()
+            refs.append(project_lp_ball_bisection(row, p, radius))
+            evaluated.append(calls[np.abs(row).tobytes()])
+        counts = []
+        for multiplier in (real, wrong):
+            monkeypatch.setattr(matlin, "_lp_multiplier", multiplier)
+            calls.clear()
+            assert np.array_equal(matlin.project_lp_ball(v, p, radius), refs)
+            counts.append([calls[np.abs(row).tobytes()] for row in v])
+        for i, (right, wrong_count) in enumerate(zip(*counts)):
+            if i % 2:
+                assert wrong_count == right
+            else:
+                assert wrong_count > evaluated[i] > right
 
 
 def _l1_stacks(seed, count):
@@ -453,7 +551,7 @@ class TestStacks:
                 assert np.array_equal(sv[i], matlin.singular_values(wi))
                 assert np.array_equal(r.reconstruct()[i], ri.reconstruct())
 
-    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("p", [1.0, 1.01, 1.5, 2.0, 3.0, 64.0])
     def test_lp_projection_per_row(self, p, rng):
         v = rng.standard_normal((6, 5)) * 10.0 ** rng.uniform(-1, 2, size=(6, 1))
         out = matlin.project_lp_ball(v, p, 1.3)
