@@ -197,6 +197,8 @@ def _ball_class(net: Network, p: float) -> rademacher.ClassSpec:
 def cmd_rademacher(args) -> int:
     if not args.data:
         raise ParseError("rademacher requires --data")
+    if args.samples < 2:
+        raise ParseError(f"--samples must be at least 2, got {args.samples}")
     net = load_network(args.network)
     data = load_dataset(args.data)
     spec = _ball_class(net, args.p)
@@ -255,6 +257,8 @@ def cmd_sweep(args) -> int:
         raise ParseError("depths must be positive")
     if not 0.0 < args.product < math.inf:
         raise ParseError(f"--product must be finite and > 0, got {args.product}")
+    if args.samples < 0 or args.samples == 1:
+        raise ParseError(f"--samples must be 0 (no ascent) or at least 2, got {args.samples}")
     ascent = [f"--{k}" for k in ("restarts", "steps") if getattr(args, k) is not None]
     if ascent and not args.samples:
         raise ParseError(f"{' '.join(ascent)} set the ascent, which runs only with --samples")

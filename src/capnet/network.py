@@ -35,11 +35,9 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and the PCG64
-# multiplier (pcg64.h), which _index_streams reproduces.
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), reproduced by _index_streams.
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
-_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
 
 
 def _hashmix(value, const: int, mult: int):
@@ -67,20 +65,31 @@ def _words(n: int) -> list[int]:
     return words
 
 
+class _HashedWords:
+    """One index's 4 hashed uint64 words, as numpy's ISeedSequence interface hands PCG64
+    its seed (registered by _index_streams, so importing capnet skips numpy.random)."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 def _index_streams(seed: int, key: tuple[int, ...], count: int):
     """Yield, for i < count, a generator in the state of ``_rng(seed, *key, i)``.
 
     The SeedSequence pool of every index is hashed in one vectorised pass:
     the hash constants depend only on a word's position, and the index is the
-    last entropy word.  Each PCG64 state is then set on one reused generator,
-    so a yielded generator is valid until the next one is drawn.  Raises
-    NumericalError if the derived state of index 0 is not numpy's.
+    last entropy word.  numpy seeds each index's PCG64 from its 4 hashed
+    uint64 words.  Raises NumericalError if the words of index 0 are not
+    those of numpy's SeedSequence.
     """
     if count <= 0:
         return
     if count > 1 << 32:
         raise ValueError(f"at most 2**32 per-index streams, got {count}")
-    gen = _rng(seed, *key, 0)
+    np.random.bit_generator.ISeedSequence.register(_HashedWords)
     seed_words = _words(seed)
     entropy = (seed_words + [0] * (4 - len(seed_words))
                + [w for k in key for w in _words(k)]
@@ -103,20 +112,11 @@ def _index_streams(seed: int, key: tuple[int, ...], count: int):
     for k in range(8):
         word, const = _hashmix(pool[k % 4], const, _MULT_B)
         out.append(word)
-    seeds = zip(*((out[2 * j] | out[2 * j + 1] << 32).tolist() for j in range(4)))
-    for i, (s_hi, s_lo, i_hi, i_lo) in enumerate(seeds):
-        # pcg64_set_seed: inc = 2 initseq + 1, two LCG steps from state 0
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = {"bit_generator": "PCG64",
-                 "state": {"state": (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128,
-                           "inc": inc},
-                 "has_uint32": 0, "uinteger": 0}
-        if i == 0 and state != gen.bit_generator.state:
-            raise NumericalError(
-                f"derived PCG64 seeding differs from numpy {np.__version__}'s SeedSequence"
-            )
-        gen.bit_generator.state = state
-        yield gen
+    words = np.stack([out[2 * j] | out[2 * j + 1] << 32 for j in range(4)], axis=1)
+    want = np.random.SeedSequence(seed, spawn_key=(*key, 0)).generate_state(4, np.uint64)
+    if not np.array_equal(words[0], want):
+        raise NumericalError(f"seed words differ from numpy {np.__version__}'s SeedSequence")
+    yield from (np.random.Generator(np.random.PCG64(_HashedWords(row))) for row in words)
 
 
 def sphere_points(dim: int, count: int, seed: int, key: tuple[int, ...] = ()) -> np.ndarray:

@@ -549,17 +549,18 @@ def _check_contraction(f_values, R: float, lam: float, pool, project, right_norm
     """The peeling check for one ball: pool(dim) gives the feasible starting
     directions, project maps rows back onto the ball, and right_norm is the
     dual norm over the last axis of the (E, K, dim) signed sums.  Each sign
-    vector's best start is refined by projected ascent.  R and lam must be
-    finite and positive (the step needs g(z) = exp(lam z) increasing), and
-    f_values finite."""
+    vector's best start per function is refined by projected ascent, the K
+    functions stepping as one (K, E, dim) stack whose slices get their lone
+    bits.  R and lam must be finite and positive (the step needs g(z) =
+    exp(lam z) increasing), and f_values finite of non-empty shape."""
     if not (0 < R < math.inf and 0 < lam < math.inf):
         raise ValueError(f"need finite R > 0 and lam > 0, got R={R}, lam={lam}")
     f = np.asarray(f_values, dtype=np.float64)
-    if f.ndim != 3:
-        raise ValueError("f_values must have shape (K, m, dim)")
+    if f.ndim != 3 or 0 in f.shape:
+        raise ValueError(f"f_values must have non-empty shape (K, m, dim), got {f.shape}")
     if not np.isfinite(f).all():
         raise ValueError("f_values must be finite")
-    k, m, dim = f.shape
+    m, dim = f.shape[1:]
     if m > CONTRACTION_CAP:
         raise ValueError(f"m={m} exceeds the enumeration cap {CONTRACTION_CAP}")
     act, dact = _univariate(activation)
@@ -569,18 +570,16 @@ def _check_contraction(f_values, R: float, lam: float, pool, project, right_norm
     rhs = 2.0 * float(np.exp(lam * R * right_norm(t)).max(axis=1).mean())
 
     dirs = pool(dim)
-    sup_inner = np.zeros(signs.shape[0])
-    for kk in range(k):
-        vals = act(f[kk] @ dirs.T)                      # (m, S)
-        cand = np.abs(signs @ vals)                     # (E, S)
-        w = dirs[cand.argmax(axis=1)]                   # (E, dim)
-        for step in range(1, 26):
-            z = w @ f[kk].T                             # (E, m)
-            inner = (signs * act(z)).sum(axis=1)
-            grad = (signs * dact(z)) @ f[kk]            # (E, dim)
-            w = project(w + (0.25 / math.sqrt(step)) * np.sign(inner)[:, None] * grad)
-        inner_r = np.abs((signs * act(w @ f[kk].T)).sum(axis=1))
-        sup_inner = np.maximum(sup_inner, np.maximum(cand.max(axis=1), inner_r))
+    cand = np.abs(signs @ act(f @ dirs.T))              # (K, E, S)
+    w = dirs[cand.argmax(axis=2)]                       # (K, E, dim)
+    for step in range(1, 26):
+        z = w @ f.swapaxes(1, 2)                        # (K, E, m)
+        inner = (signs * act(z)).sum(axis=2)
+        grad = (signs * dact(z)) @ f                    # (K, E, dim)
+        w = w + (0.25 / math.sqrt(step)) * np.sign(inner)[..., None] * grad
+        w = project(w.reshape(-1, dim)).reshape(w.shape)
+    inner_r = np.abs((signs * act(w @ f.swapaxes(1, 2))).sum(axis=2))
+    sup_inner = np.maximum(cand.max(axis=2), inner_r).max(axis=0)
     lhs = float(np.exp(lam * sup_inner).mean())
     if lhs > rhs * (1.0 + 1e-9):
         raise VerificationError(f"{label} violated: lhs={lhs} > rhs={rhs}")
@@ -745,24 +744,27 @@ def verify_cover(cover: LipschitzCover, trials: int, seed: int = 0) -> float:
     """Max over random 1-Lipschitz origin-anchored f of the min member distance.
 
     Test functions take random +-1 slopes on the 4x-refined grid; distances
-    are exact sups (both sides are piecewise linear on the fine grid).
-    Raises if any f is farther than eps from the whole cover.
+    are exact sups (both sides are piecewise linear on the fine grid), taken
+    as a running max over the grid points of (grid, members) values for 8
+    trials at a time.  Raises if any f is farther than eps from the cover.
     """
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got trials={trials}")
     fine = _refined_grid(cover.grid, 4)
-    mvals = cover.values_on(fine)
+    mvals = np.ascontiguousarray(cover.values_on(fine).T)
     dx = np.diff(fine)
     fs = np.empty((trials, fine.size))
     for t, gen in enumerate(_index_streams(seed, (), trials)):
         slopes = gen.choice([-1.0, 1.0], size=dx.size)
         f = np.concatenate([[0.0], np.cumsum(slopes * dx)])
         fs[t] = f - np.interp(0.0, fine, f)
-    mins = np.full(trials, np.inf)
-    chunk = max(1, 4_000_000 // (max(trials, 1) * fine.size))
-    for lo in range(0, cover.n_members, chunk):
-        block = mvals[lo:lo + chunk]
-        dist = np.abs(block[:, None, :] - fs[None, :, :]).max(axis=2)
-        mins = np.minimum(mins, dist.min(axis=0))
-    worst = float(mins.max())
+    worst = 0.0
+    for block in np.split(fs, range(8, trials, 8)):
+        dist, gap = np.zeros((2, len(block), cover.n_members))
+        for j, member_at_j in enumerate(mvals):
+            np.abs(np.subtract(member_at_j, block[:, j, None], out=gap), out=gap)
+            np.maximum(dist, gap, out=dist)
+        worst = max(worst, float(dist.min(axis=1).max()))
     if worst > cover.eps * (1.0 + 1e-6):
         raise VerificationError(
             f"cover misses a function by {worst} > eps={cover.eps}"

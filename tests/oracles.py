@@ -441,3 +441,83 @@ def sign_values_per_sample(g, bucket_matrix, samples: int, seed: int) -> np.ndar
     for i in range(samples):
         vals[i] = float(g(_rng(seed, i).choice([-1.0, 1.0], size=(1, m)) @ bucket_matrix)[0])
     return vals
+
+
+# ---------------------------------------------------------------------------
+# The verify suite's cover search and contraction loop, one member chunk and
+# one function at a time
+# ---------------------------------------------------------------------------
+
+def verify_cover_chunked(cover, trials: int, seed: int = 0) -> float:
+    """This was ``rademacher.verify_cover`` before it took the running max
+    over the grid of a (grid, members) array: members x trials x grid
+    broadcast in chunks of about 4,000,000 doubles.  Verbatim but for one
+    fresh ``_rng(seed, t)`` per trial in place of the one-pass streams."""
+    from capnet.errors import VerificationError
+    from capnet.network import _rng
+    from capnet.rademacher import _refined_grid
+
+    fine = _refined_grid(cover.grid, 4)
+    mvals = cover.values_on(fine)
+    dx = np.diff(fine)
+    fs = np.empty((trials, fine.size))
+    for t in range(trials):
+        slopes = _rng(seed, t).choice([-1.0, 1.0], size=dx.size)
+        f = np.concatenate([[0.0], np.cumsum(slopes * dx)])
+        fs[t] = f - np.interp(0.0, fine, f)
+    mins = np.full(trials, np.inf)
+    chunk = max(1, 4_000_000 // (max(trials, 1) * fine.size))
+    for lo in range(0, cover.n_members, chunk):
+        block = mvals[lo:lo + chunk]
+        dist = np.abs(block[:, None, :] - fs[None, :, :]).max(axis=2)
+        mins = np.minimum(mins, dist.min(axis=0))
+    worst = float(mins.max())
+    if worst > cover.eps * (1.0 + 1e-6):
+        raise VerificationError(
+            f"cover misses a function by {worst} > eps={cover.eps}"
+        )
+    return worst
+
+
+def check_contraction_per_function(f_values, R: float, lam: float, pool, project,
+                                   right_norm, activation: str,
+                                   label: str) -> tuple[float, float]:
+    """This was ``rademacher._check_contraction`` before the K functions
+    stepped together as one stack: a 25-step projected ascent per function,
+    kept verbatim; the stacked harness must equal it bit for bit."""
+    from capnet.errors import VerificationError
+    from capnet.rademacher import CONTRACTION_CAP, _univariate, sign_matrix
+
+    if not (0 < R < math.inf and 0 < lam < math.inf):
+        raise ValueError(f"need finite R > 0 and lam > 0, got R={R}, lam={lam}")
+    f = np.asarray(f_values, dtype=np.float64)
+    if f.ndim != 3:
+        raise ValueError("f_values must have shape (K, m, dim)")
+    if not np.isfinite(f).all():
+        raise ValueError("f_values must be finite")
+    k, m, dim = f.shape
+    if m > CONTRACTION_CAP:
+        raise ValueError(f"m={m} exceeds the enumeration cap {CONTRACTION_CAP}")
+    act, dact = _univariate(activation)
+    signs = sign_matrix(m)
+
+    t = np.einsum("cm,kmd->ckd", signs, f)
+    rhs = 2.0 * float(np.exp(lam * R * right_norm(t)).max(axis=1).mean())
+
+    dirs = pool(dim)
+    sup_inner = np.zeros(signs.shape[0])
+    for kk in range(k):
+        vals = act(f[kk] @ dirs.T)                      # (m, S)
+        cand = np.abs(signs @ vals)                     # (E, S)
+        w = dirs[cand.argmax(axis=1)]                   # (E, dim)
+        for step in range(1, 26):
+            z = w @ f[kk].T                             # (E, m)
+            inner = (signs * act(z)).sum(axis=1)
+            grad = (signs * dact(z)) @ f[kk]            # (E, dim)
+            w = project(w + (0.25 / math.sqrt(step)) * np.sign(inner)[:, None] * grad)
+        inner_r = np.abs((signs * act(w @ f[kk].T)).sum(axis=1))
+        sup_inner = np.maximum(sup_inner, np.maximum(cand.max(axis=1), inner_r))
+    lhs = float(np.exp(lam * sup_inner).mean())
+    if lhs > rhs * (1.0 + 1e-9):
+        raise VerificationError(f"{label} violated: lhs={lhs} > rhs={rhs}")
+    return lhs, rhs

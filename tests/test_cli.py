@@ -419,6 +419,8 @@ class TestBadArgumentsExit2:
         (["sweep", "--dim", "0", "--depths", "2"], "--dim"),
         (["sweep", "--m", "-3", "--depths", "2"], "--m"),
         (["sweep", "--m", "0", "--depths", "2"], "--m"),
+        (["sweep", "--samples", "1", "--depths", "2"], "--samples"),
+        (["sweep", "--samples", "-2", "--depths", "2"], "--samples"),
     ])
     def test_sweep(self, argv, words, capsys):
         code, stdout, err = run(argv, capsys)
@@ -499,6 +501,17 @@ class TestBadArgumentsExit2:
         # without --samples sweep runs no ascent, which these flags would set
         code, stdout, err = run(argv, capsys)
         assert code == 2 and "--samples" in err and stdout == ""
+
+    @pytest.mark.parametrize("samples", ["1", "-2"])
+    def test_rademacher_samples(self, samples, inputs, capsys, tmp_path, rng):
+        # the Monte Carlo estimate needs two samples for its standard error
+        _, data_path, _, _ = inputs
+        net_path = tmp_path / "scalar.json"
+        save_network(make_net([rng.standard_normal((2, 2)), rng.standard_normal((1, 2))]),
+                     str(net_path))
+        code, stdout, err = run(["rademacher", "--network", str(net_path), "--data",
+                                 data_path, "--samples", samples], capsys)
+        assert code == 2 and "--samples must be at least 2" in err and stdout == ""
 
 
 class TestSamplesAsGiven:

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -315,6 +318,29 @@ class TestSpherePoints:
             for i, gen in enumerate(_index_streams(seed, key, count)):
                 assert gen.bit_generator.state == _rng(seed, *key, i).bit_generator.state, \
                     (seed, key, i)
+
+    def test_a_yielded_generator_outlives_the_next(self):
+        from capnet.network import _index_streams, _rng
+        streams = _index_streams(5, (1,), 3)
+        first, second = next(streams), next(streams)
+        assert first is not second
+        assert first.bit_generator.state == _rng(5, 1, 0).bit_generator.state
+
+    def test_importing_the_cli_leaves_numpy_random_unimported(self):
+        # the seed words reach PCG64 through a class registered with
+        # numpy.random only when streams are first drawn; numpy 1.x imports
+        # numpy.random with numpy itself, so the check is against that
+        code = ("import sys, numpy; before = 'numpy.random' in sys.modules; "
+                "import capnet.cli; print(before, 'numpy.random' in sys.modules)")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(matlin.__file__))]
+            + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        before, after = proc.stdout.split()
+        assert after == before
 
     def test_index_beyond_one_hash_word_rejected(self):
         # an index >= 2**32 is two SeedSequence words, which the pass does not hash

@@ -1,15 +1,18 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from capnet import cli, lowerbound, matlin, rademacher, verify
+from capnet.errors import VerificationError
 from capnet.network import (Dataset, Layer, Network, dataset_from_obj, network_from_obj,
                             save_dataset, save_network)
 from conftest import NORM_KINDS, kind_id, load_perfbench, make_net, sphere_points
-from oracles import (all_signs, enumerate_linear_class_value, mc_values_per_sample,
-                     sign_mean_by_chunks, sup_ascent_per_restart)
+from oracles import (all_signs, check_contraction_per_function, enumerate_linear_class_value,
+                     mc_values_per_sample, sign_mean_by_chunks, sup_ascent_per_restart,
+                     verify_cover_chunked)
 
 
 def linear_spec(dim, radius=1.0, kind=None):
@@ -638,6 +641,30 @@ class TestContraction:
                     activation=activation)
         assert got == want
 
+    @pytest.mark.parametrize("name,activation", [
+        ("frobenius", "relu"), ("frobenius", "identity"),
+        ("l1inf", "relu"), ("l1inf", "identity"), ("l1inf", "clip1"),
+    ])
+    @pytest.mark.parametrize("shape", [(1, 5, 3), (3, 6, 2),
+                                       (1, rademacher.CONTRACTION_CAP, 2),
+                                       (3, rademacher.CONTRACTION_CAP, 3)])
+    def test_matches_per_function_loop(self, name, activation, shape, monkeypatch):
+        # the K functions step as one stack; each must get the bits of its own loop
+        f = np.random.default_rng(sum(shape)).standard_normal(shape)
+        check = getattr(rademacher, f"check_contraction_{name}")
+        args = dict(R=1.3, lam=0.4, direction_samples=24, seed=9, activation=activation)
+        got = check(f, **args)
+        monkeypatch.setattr(rademacher, "_check_contraction", check_contraction_per_function)
+        assert got == check(f, **args)
+
+    @pytest.mark.parametrize("name", ["frobenius", "l1inf"])
+    @pytest.mark.parametrize("shape", [(0, 4, 2), (2, 0, 2), (2, 4, 0)])
+    def test_empty_shape_rejected(self, name, shape):
+        # K = 0 used to fail inside numpy; m = 0 or dim = 0 returned (1.0, 2.0)
+        check = getattr(rademacher, f"check_contraction_{name}")
+        with pytest.raises(ValueError, match=re.escape(f"got {shape}")):
+            check(np.zeros(shape), R=1.0, lam=0.5)
+
 
 class TestUnionBound:
     def test_single_class_no_additive_term(self, rng):
@@ -717,6 +744,41 @@ class TestLipschitzCover:
     def test_grid_size_refusal(self):
         with pytest.raises(ValueError, match="increase eps"):
             rademacher.build_lipschitz_cover(1.0, 0.05)
+
+    @staticmethod
+    def _outcome(search, cover, trials):
+        try:
+            return search(cover, trials, seed=11)
+        except VerificationError as err:
+            return str(err)
+
+    # every (R, eps) of R in {0.5, 1, 1.7} and eps in {0.3, 2/3, 2R} but
+    # R = 1.7, eps = 0.3, whose 3^12 members would take the chunked search minutes
+    @pytest.mark.parametrize("trials", [1, 7, 200])
+    @pytest.mark.parametrize("R,eps", [(0.5, 0.3), (0.5, 2 / 3), (0.5, 1.0),
+                                       (1.0, 0.3), (1.0, 2 / 3), (1.0, 2.0),
+                                       (1.7, 2 / 3), (1.7, 3.4)])
+    def test_matches_chunked_search(self, R, eps, trials):
+        cover = rademacher.build_lipschitz_cover(R, eps)
+        got = self._outcome(rademacher.verify_cover, cover, trials)
+        assert got == self._outcome(verify_cover_chunked, cover, trials)
+
+    def test_too_coarse_cover_raises_in_both(self):
+        # the 9 members of the eps = 1 grid, claimed to cover at eps = 0.25
+        coarse = rademacher.build_lipschitz_cover(1.0, 1.0)
+        cover = rademacher.LipschitzCover(R=1.0, eps=0.25, grid=coarse.grid,
+                                          signs=coarse.signs)
+        with pytest.raises(VerificationError, match="cover misses") as got:
+            rademacher.verify_cover(cover, trials=50, seed=3)
+        with pytest.raises(VerificationError) as want:
+            verify_cover_chunked(cover, trials=50, seed=3)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_rejected(self, trials):
+        cover = rademacher.build_lipschitz_cover(1.0, 0.5)
+        with pytest.raises(ValueError, match=f"trials={trials}"):
+            rademacher.verify_cover(cover, trials=trials)
 
 
 class TestClassSpecDefaults:
