@@ -41,6 +41,12 @@ def _parse_p(text: str) -> float:
     return p
 
 
+def _seed(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return int(text)
+
+
 def _float_list(text: str) -> list[float]:
     return [_parse_p(tok) for tok in text.split(",") if tok.strip()]
 
@@ -64,7 +70,7 @@ _FLAGS = {
     "--p": dict(type=_parse_p, default=2.0,
                 help=f"Schatten exponent in [1, {matlin.MAX_SCHATTEN_P:g}] or inf (default 2)"),
     "--gamma": dict(type=float, default=1.0, help="margin parameter"),
-    "--seed": dict(type=int, default=42),
+    "--seed": dict(type=_seed, default=42),
     "--samples": dict(type=int),  # each subcommand sets its own default
     "--restarts": dict(type=int, default=8),
     "--steps": dict(type=int, default=500),

@@ -12,6 +12,7 @@ Layer indices in the public API are 1-based throughout.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -65,31 +66,34 @@ def _words(n: int) -> list[int]:
     return words
 
 
-class _HashedWords:
-    """One index's 4 hashed uint64 words, as numpy's ISeedSequence interface hands PCG64
-    its seed (registered by _index_streams, so importing capnet skips numpy.random)."""
+@functools.cache
+def _hashed_words() -> type:
+    """The ISeedSequence that hands PCG64 one index's 4 hashed uint64 words, built
+    on first use so that importing capnet leaves numpy.random unimported."""
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+    class HashedWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return HashedWords
 
 
-def _index_streams(seed: int, key: tuple[int, ...], count: int):
-    """Yield, for i < count, a generator in the state of ``_rng(seed, *key, i)``.
+def _index_words(seed: int, key: tuple[int, ...], count: int) -> np.ndarray:
+    """The (count, 4) uint64 words from which numpy seeds the PCG64 of
+    ``_rng(seed, *key, i)``, row i for i < count.
 
     The SeedSequence pool of every index is hashed in one vectorised pass:
     the hash constants depend only on a word's position, and the index is the
-    last entropy word.  numpy seeds each index's PCG64 from its 4 hashed
-    uint64 words.  Raises NumericalError if the words of index 0 are not
+    last entropy word.  Raises NumericalError if the words of index 0 are not
     those of numpy's SeedSequence.
     """
     if count <= 0:
-        return
+        return np.empty((0, 4), dtype=np.uint64)
     if count > 1 << 32:
         raise ValueError(f"at most 2**32 per-index streams, got {count}")
-    np.random.bit_generator.ISeedSequence.register(_HashedWords)
     seed_words = _words(seed)
     entropy = (seed_words + [0] * (4 - len(seed_words))
                + [w for k in key for w in _words(k)]
@@ -116,7 +120,15 @@ def _index_streams(seed: int, key: tuple[int, ...], count: int):
     want = np.random.SeedSequence(seed, spawn_key=(*key, 0)).generate_state(4, np.uint64)
     if not np.array_equal(words[0], want):
         raise NumericalError(f"seed words differ from numpy {np.__version__}'s SeedSequence")
-    yield from (np.random.Generator(np.random.PCG64(_HashedWords(row))) for row in words)
+    return words
+
+
+def _index_streams(seed: int, key: tuple[int, ...], count: int):
+    """Yield, for i < count, a generator in the state of ``_rng(seed, *key, i)``:
+    numpy's PCG64 seeded with row i of ``_index_words``."""
+    seeded, gen, bits = _hashed_words(), np.random.Generator, np.random.PCG64
+    for words in _index_words(seed, key, count):
+        yield gen(bits(seeded(words)))
 
 
 def sphere_points(dim: int, count: int, seed: int, key: tuple[int, ...] = ()) -> np.ndarray:
@@ -129,12 +141,11 @@ def sphere_points(dim: int, count: int, seed: int, key: tuple[int, ...] = ()) ->
     if dim < 1 or count < 0:
         raise ValueError(f"need dimension >= 1 and count >= 0, got dim={dim}, count={count}")
     pts = np.empty((count, dim))
-    sq = np.empty(count)
-    for i, gen in enumerate(_index_streams(seed, key, count)):
-        row = pts[i]
-        gen.standard_normal(out=row)
-        sq[i] = row.dot(row)  # as np.linalg.norm; a batched sum can differ by 1 ulp
-    norm = np.sqrt(sq)
+    seeded, gen, bits = _hashed_words(), np.random.Generator, np.random.PCG64
+    for row, words in zip(pts, _index_words(seed, key, count)):
+        gen(bits(seeded(words))).standard_normal(out=row)
+    # each row's ddot, as np.linalg.norm takes it; a summed square can differ by 1 ulp
+    norm = np.sqrt((pts[:, None, :] @ pts[:, :, None])[:, 0, 0])
     zero = norm == 0
     norm[zero] = 1.0
     pts /= norm[:, None]
@@ -320,32 +331,29 @@ def override_products(prof: NormProfile, gamma: float | None,
 
 
 def profile(net: Network, p: float = 2.0) -> NormProfile:
-    """Norm profile for a Schatten exponent p in [1, matlin.MAX_SCHATTEN_P] or inf."""
+    """Norm profile for a Schatten exponent p in [1, matlin.MAX_SCHATTEN_P] or inf.
+
+    The layers of one shape are one stack, each norm one call on it; each slice
+    has the bits of the call on that layer alone (its weight in C order)."""
     kind = matlin.schatten(p)
-    spec, frob, schat, r21, r1inf = [], [], [], [], []
-    for layer in net.layers:
-        w = layer.weight
+    shapes = {}
+    for j, layer in enumerate(net.layers):
+        shapes.setdefault(layer.weight.shape, []).append(j)
+    norms = np.empty((5, net.depth))
+    for idx in shapes.values():
+        w = np.stack([net.layers[j].weight for j in idx])
         sv = matlin.singular_values(w)
-        spec.append(matlin.singular_norm(sv, matlin.SPECTRAL))
-        frob.append(matlin.matrix_norm(w, matlin.FROBENIUS))
-        schat.append(matlin.singular_norm(sv, kind))
-        r21.append(matlin.matrix_norm(w, matlin.ROWS_L2_SUM))
-        r1inf.append(matlin.matrix_norm(w, matlin.ROWS_L1_MAX))
-    degenerate = any(s == 0.0 for s in spec)
+        norms[:, idx] = (matlin.singular_norm(sv, matlin.SPECTRAL),
+                         matlin.matrix_norm(w, matlin.FROBENIUS), matlin.singular_norm(sv, kind),
+                         matlin.matrix_norm(w, matlin.ROWS_L2_SUM),
+                         matlin.matrix_norm(w, matlin.ROWS_L1_MAX))
+    spec, frob, schat, r21, r1inf = map(tuple, norms.tolist())
+    degenerate = 0.0 in spec
     ratio = None if degenerate else max(r / s for r, s in zip(r21, spec))
-    return NormProfile(
-        p=float(p),
-        spectral=tuple(spec),
-        frobenius=tuple(frob),
-        schatten=tuple(schat),
-        rows_l2_sum=tuple(r21),
-        rows_l1_max=tuple(r1inf),
-        gamma=float(np.prod(spec)),
-        schatten_product=float(np.prod(schat)),
-        frobenius_product=float(np.prod(frob)),
-        ratio_max=ratio,
-        degenerate=degenerate,
-    )
+    return NormProfile(float(p), spec, frob, schat, r21, r1inf, gamma=float(np.prod(spec)),
+                       schatten_product=float(np.prod(schat)),
+                       frobenius_product=float(np.prod(frob)), ratio_max=ratio,
+                       degenerate=degenerate)
 
 
 @dataclass(frozen=True)

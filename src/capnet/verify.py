@@ -67,16 +67,17 @@ def suite_norms() -> list[CheckResult]:
                 g = side.T @ side
                 if np.abs(g - np.eye(g.shape[0])).max() > 1e-10:
                     raise VerificationError(f"matrix {i}: factor not orthonormal")
-            vals = [matlin.matrix_norm(w, matlin.schatten(p)) for p in ps]
-            vals.append(matlin.matrix_norm(w, matlin.SPECTRAL))
+            sv = matlin.singular_values(w)
+            vals = [matlin.singular_norm(sv, matlin.schatten(p)) for p in ps + [math.inf]]
             for a, b in zip(vals, vals[1:]):
                 if not a >= b - 1e-10:
                     raise VerificationError(f"matrix {i}: Schatten chain not monotone")
             q, _ = np.linalg.qr(rng.standard_normal((rows, rows)))
             u, _ = np.linalg.qr(rng.standard_normal((cols, cols)))
+            moved = matlin.singular_values(q @ w @ u)
             for p in (1.0, 2.0, 4.0):
-                before = matlin.matrix_norm(w, matlin.schatten(p))
-                after = matlin.matrix_norm(q @ w @ u, matlin.schatten(p))
+                kind = matlin.schatten(p)
+                before, after = (matlin.singular_norm(s, kind) for s in (sv, moved))
                 if abs(after - before) > 1e-8 * max(1.0, before):
                     raise VerificationError(f"matrix {i}: not unitarily invariant at p={p}")
         return "200 matrices up to 16x16"

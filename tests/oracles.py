@@ -191,6 +191,40 @@ def sphere_points_per_point(dim: int, count: int, seed: int, key=()) -> np.ndarr
     return pts
 
 
+def profile_per_layer(net, p: float = 2.0):
+    """``network.profile`` as the loop that takes each layer's norms on its own,
+    kept verbatim from before layers of one shape were stacked; the library
+    must match it field for field."""
+    from capnet import matlin
+    from capnet.network import NormProfile
+
+    kind = matlin.schatten(p)
+    spec, frob, schat, r21, r1inf = [], [], [], [], []
+    for layer in net.layers:
+        w = layer.weight
+        sv = matlin.singular_values(w)
+        spec.append(matlin.singular_norm(sv, matlin.SPECTRAL))
+        frob.append(matlin.matrix_norm(w, matlin.FROBENIUS))
+        schat.append(matlin.singular_norm(sv, kind))
+        r21.append(matlin.matrix_norm(w, matlin.ROWS_L2_SUM))
+        r1inf.append(matlin.matrix_norm(w, matlin.ROWS_L1_MAX))
+    degenerate = any(s == 0.0 for s in spec)
+    ratio = None if degenerate else max(r / s for r, s in zip(r21, spec))
+    return NormProfile(
+        p=float(p),
+        spectral=tuple(spec),
+        frobenius=tuple(frob),
+        schatten=tuple(schat),
+        rows_l2_sum=tuple(r21),
+        rows_l1_max=tuple(r1inf),
+        gamma=float(np.prod(spec)),
+        schatten_product=float(np.prod(schat)),
+        frobenius_product=float(np.prod(frob)),
+        ratio_max=ratio,
+        degenerate=degenerate,
+    )
+
+
 # ---------------------------------------------------------------------------
 # The constrained ascent, one sign vector and one restart at a time
 # ---------------------------------------------------------------------------

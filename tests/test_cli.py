@@ -256,6 +256,20 @@ class TestVerifyCmd:
         code, stdout, _ = run(["verify", "--suite", "union"], capsys)
         assert code == 0 and "PASS" in stdout
 
+    def test_norms_suite_fails_when_monotonicity_breaks(self, capsys, monkeypatch):
+        # the suite reads every Schatten norm off one set of singular values;
+        # a Schatten-8 norm doubled exceeds the Schatten-4 norm of any matrix
+        # up to 16x16, so the chain check must catch it
+        real = matlin.singular_norm
+        monkeypatch.setattr(matlin, "singular_norm",
+                            lambda s, kind: real(s, kind) * (2.0 if kind.p == 8.0 else 1.0))
+        code, stdout, _ = run(["verify", "--suite", "norms"], capsys)
+        assert code == 3
+        assert stdout.startswith("FAIL norms") and "matrix 0: Schatten chain not monotone" in stdout
+        monkeypatch.setattr(matlin, "singular_norm", real)
+        code, stdout, _ = run(["verify", "--suite", "norms"], capsys)
+        assert code == 0 and stdout.startswith("PASS norms")
+
 
 class TestSvdCount:
     @pytest.mark.parametrize("argv,want", [
@@ -334,6 +348,27 @@ class TestFlags:
         code, out, err = run(argv[:1] + paths + argv[1:], capsys)
         assert code == 1 and not out
         assert "invalid" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "--seed", "-1"],
+        ["compress", "--B", "1", "--r", "2", "--seed", "-3"],
+        ["rademacher", "--seed", "-2"],
+        ["lowerbound", "--seed", "-1"],
+        ["lowerbound", "--samples", "2000", "--seed", "-1"],
+        ["sweep", "--seed", "-1"],
+    ])
+    def test_negative_seed_is_a_usage_error(self, argv, inputs, capsys):
+        net_path, data_path, _, _ = inputs
+        paths = {"report": ["--network", net_path, "--data", data_path],
+                 "compress": ["--network", net_path],
+                 "rademacher": ["--network", net_path, "--data", data_path]}
+        code, out, err = run(argv[:1] + paths.get(argv[0], []) + argv[1:], capsys)
+        assert code == 1 and not out
+        assert "argument --seed: must be a non-negative integer, got -" in err
+
+    def test_seed_zero_is_accepted(self, capsys):
+        code, out, _ = run(["sweep", "--depths", "2", "--seed", "0"], capsys)
+        assert code == 0 and out.startswith("depth,")
 
     def test_readme_flag_table_matches_the_parser(self):
         readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -177,7 +178,7 @@ class TestProfile:
         )
         assert got == want
 
-    def test_one_svd_per_layer(self, monkeypatch):
+    def test_one_svd_per_shape(self, monkeypatch):
         calls = []
         real = matlin.singular_values
 
@@ -187,11 +188,41 @@ class TestProfile:
 
         monkeypatch.setattr(matlin, "singular_values", counting)
         monkeypatch.setattr(matlin, "svd", None)  # profile must not need the factors
-        net = self.reference_net()
-        for p in (1.5, 2.0, math.inf):
-            calls.clear()
-            profile(net, p)
-            assert calls == [l.weight.shape for l in net.layers]
+        ref = self.reference_net()
+        wide, square = np.ones((3, 2)), np.eye(3)
+        repeated = make_net([wide, square, square, wide.T, wide, wide.T, np.ones((1, 2))])
+        for net, want in ((ref, [(1, *l.weight.shape) for l in ref.layers]),
+                          (repeated, [(2, 3, 2), (2, 3, 3), (2, 2, 3), (1, 1, 2)])):
+            for p in (1.5, 2.0, math.inf):
+                calls.clear()
+                profile(net, p)
+                assert calls == want
+
+    @staticmethod
+    def _oracle_nets():
+        """400 random nets of depth 1-12 with repeated shapes, the 300-layer
+        1x1 chain and nets with a zero layer."""
+        rng = np.random.default_rng(2025)
+        for case in range(400):
+            depth = int(rng.integers(1, 13))
+            widths = rng.integers(1, 4 if case % 2 else 9, size=depth + 1)
+            scale = 10.0 ** rng.uniform(-3, 3)
+            weights = [rng.standard_normal((widths[j + 1], widths[j])) * scale
+                       for j in range(depth)]
+            if case % 7 == 0:
+                weights[int(rng.integers(depth))] *= 0.0
+            yield make_net(weights)
+        yield make_net([np.array([[1.0]])] * 300, ["identity"] * 299 + [None])
+        yield make_net([np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)), np.ones((1, 2))])
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, 64.0, math.inf])
+    def test_matches_per_layer_loop(self, p):
+        from oracles import profile_per_layer
+        for net in self._oracle_nets():
+            got, want = profile(net, p), profile_per_layer(net, p)
+            for field in dataclasses.fields(NormProfile):
+                assert getattr(got, field.name) == getattr(want, field.name), \
+                    (field.name, [l.weight.shape for l in net.layers])
 
 
 class TestValidation:
@@ -327,8 +358,8 @@ class TestSpherePoints:
         assert first.bit_generator.state == _rng(5, 1, 0).bit_generator.state
 
     def test_importing_the_cli_leaves_numpy_random_unimported(self):
-        # the seed words reach PCG64 through a class registered with
-        # numpy.random only when streams are first drawn; numpy 1.x imports
+        # the seed words reach PCG64 through an ISeedSequence subclass built
+        # only when streams are first drawn; numpy 1.x imports
         # numpy.random with numpy itself, so the check is against that
         code = ("import sys, numpy; before = 'numpy.random' in sys.modules; "
                 "import capnet.cli; print(before, 'numpy.random' in sys.modules)")
