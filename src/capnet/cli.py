@@ -36,8 +36,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_p(text: str) -> float:
-    p = float(text)
-    matlin.schatten(p)  # validates the domain; +inf is the spectral norm
+    try:
+        p = float(text)
+        matlin.schatten(p)  # validates the domain; +inf is the spectral norm
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid Schatten exponent {text!r}: {exc}") from None
     return p
 
 
@@ -207,9 +210,10 @@ def cmd_rademacher(args) -> int:
         raise ParseError(f"--samples must be at least 2, got {args.samples}")
     net = load_network(args.network)
     data = load_dataset(args.data)
+    restarts, steps = _ascent_sizes(args)
     spec = _ball_class(net, args.p)
     est = rademacher.mc_rademacher(spec, data, epsilon_samples=args.samples,
-                                   restarts=args.restarts, steps=args.steps, seed=args.seed)
+                                   restarts=restarts, steps=steps, seed=args.seed)
     obj = {**dataclasses.asdict(est), "p": args.p}
     if args.fmt == "structured":
         text = json.dumps(obj, indent=1) + "\n"
@@ -220,6 +224,16 @@ def cmd_rademacher(args) -> int:
                        for k, v in obj.items())
     _emit(text, args.out)
     return 0
+
+
+def _ascent_sizes(args) -> list[int]:
+    """--restarts and --steps, their defaults where not given, in the ascent's domain."""
+    sizes = [_FLAGS[f"--{k}"]["default"] if getattr(args, k) is None else getattr(args, k)
+             for k in ("restarts", "steps")]
+    for flag, value, least in zip(("--restarts", "--steps"), sizes, (1, 0)):
+        if value < least:
+            raise ParseError(f"the ascent needs restarts >= 1 and steps >= 0, got {flag} {value}")
+    return sizes
 
 
 def cmd_lowerbound(args) -> int:
@@ -268,8 +282,7 @@ def cmd_sweep(args) -> int:
     ascent = [f"--{k}" for k in ("restarts", "steps") if getattr(args, k) is not None]
     if ascent and not args.samples:
         raise ParseError(f"{' '.join(ascent)} set the ascent, which runs only with --samples")
-    restarts, steps = (_FLAGS[f"--{k}"]["default"] if getattr(args, k) is None
-                       else getattr(args, k) for k in ("restarts", "steps"))
+    restarts, steps = _ascent_sizes(args)
     if args.data:
         given = [f"--{k}" for k in ("m", "B", "dim") if getattr(args, k) is not None]
         if given:

@@ -4,8 +4,9 @@ Matrices are 2-D float64 numpy arrays with finite entries, validated through
 :func:`as_matrix`.  The SVD, the norms, the ball projections and the support
 map also take a stack (n, rows, cols) of matrices and work on all of its
 slices at once, the l_p machinery of the Schatten norms on the stack's rows
-of singular values in one pass: every slice comes out bit-identical to the
-same call on that matrix alone.
+of singular values in one pass; a ball projection also takes a list of
+stacks, whose rows of singular values a Schatten ball projects together.
+Every slice comes out bit-identical to the same call on that matrix alone.
 Every function here is pure: arrays are treated as immutable and are never
 modified in place, so values are safe to share between concurrent workers.
 """
@@ -287,9 +288,10 @@ def _lp_shrink(a: np.ndarray, p: float, lam) -> np.ndarray:
     Safeguarded Newton: iterates stay inside a per-coordinate bracket, and
     any step that leaves it, or whose residual/derivative overflowed, falls
     back to bisection.  The bracket keeps halving on fallback, so large p
-    (where x^(p-1) overflows far from the root) still converges.  A row
-    keeps its iterate from the step at which its own stop test passes, so
-    it comes out as it would alone; a row with lam = 0 is a.
+    (where x^(p-1) overflows far from the root) still converges.  Each step
+    computes only the rows still iterating, and a row keeps its iterate from
+    the step at which its own stop test passes, so it comes out as it would
+    alone; a row with lam = 0 is a.
     """
     x0 = a.reshape(-1, a.shape[-1])
     scale = np.maximum(x0.max(axis=1), 1.0)
@@ -297,49 +299,53 @@ def _lp_shrink(a: np.ndarray, p: float, lam) -> np.ndarray:
         # lam*p and lam*p*(p-1) element by element, as the scalar products were
         lamp = np.repeat(np.multiply(lam, p), x0.shape[1]).reshape(x0.shape)
         lampm = lamp * (p - 1.0)
-        live = lamp[:, 0] != 0.0
+        on = np.flatnonzero(lamp[:, 0] != 0.0)
         # the root also satisfies lam*p*x^(p-1) <= a, which gives a far tighter
         # bracket top than a itself when p is large (Newton would otherwise crawl
         # down x^(p-1) at a relative rate of only 1/(p-1) per step); a cap that
         # is not finite (lam = 0 among them) leaves a
         hi = np.fmin(x0, np.power(x0 / lamp, 1.0 / (p - 1.0)))
+        x = hi if p >= 2.0 else np.minimum(x0 / (1.0 + lamp), hi)
+        # the rows `on` still iterating: their iterate first, then what they step with
+        rows = [x[on], x0[on], lamp[on], lampm[on], scale[on]]
         if p >= 2.0:
             # f is convex and increasing, f(cap) >= 0, and iterates never leave
             # [root, cap], so plain Newton from the cap descends monotonically
             # with nothing able to overflow
-            tol = 1e-16 * scale
-            x = hi
             for _ in range(80):
-                xq = x ** (p - 2.0)
-                f = x + lamp * xq * x - x0
-                nxt = x - f / (1.0 + lampm * xq)
-                done = np.abs(nxt - x).max(axis=1) <= tol
-                x = np.where(live[:, None], nxt, x)
-                live &= ~done
-                if not live.any():
+                if not on.size:
                     break
+                xs, a0, lp, lpm, sc = rows
+                xq = xs ** (p - 2.0)
+                rows[0] = xs - (xs + lp * xq * xs - a0) / (1.0 + lpm * xq)
+                on, rows = _keep(x, on, ~(np.abs(rows[0] - xs).max(axis=1) <= 1e-16 * sc), rows)
             return np.maximum(x, 0.0).reshape(a.shape)
-        tol, width = 1e-13 * scale, 1e-15 * scale
-        lo = np.zeros_like(x0)
-        x = np.minimum(x0 / (1.0 + lamp), hi)
+        rows += [np.zeros_like(rows[0]), hi[on]]
         for _ in range(110):
-            f = x + lamp * np.power(x, p - 1.0) - x0
-            df = 1.0 + lampm * np.power(x, p - 2.0)
+            if not on.size:
+                break
+            xs, a0, lp, lpm, sc, lo, up = rows
+            f = xs + lp * np.power(xs, p - 1.0) - a0
+            df = 1.0 + lpm * np.power(xs, p - 2.0)
             # a residual that overflowed (inf or nan) counts as 1 in the stop test
             # and as positive in the bracket; its step is never finite
             res = np.abs(f)
-            live &= np.where(res < np.inf, res, 1.0).max(axis=1) > tol
-            if not live.any():
-                break
-            lo = np.where(f < 0.0, x, lo)
-            hi = np.where(f <= 0.0, hi, x)
-            nxt = x - f / df
-            nxt = np.where((nxt > lo) & (nxt < hi), nxt, 0.5 * (lo + hi))
-            x = np.where(live[:, None], nxt, x)
-            live &= (hi - lo).max(axis=1) > width
-            if not live.any():
-                break
+            going = np.where(res < np.inf, res, 1.0).max(axis=1) > 1e-13 * sc
+            on, (xs, a0, lp, lpm, sc, lo, up, f, df) = _keep(x, on, going, rows + [f, df])
+            lo = np.where(f < 0.0, xs, lo)
+            up = np.where(f <= 0.0, up, xs)
+            nxt = xs - f / df
+            rows = [np.where((nxt > lo) & (nxt < up), nxt, 0.5 * (lo + up)),
+                    a0, lp, lpm, sc, lo, up]
+            on, rows = _keep(x, on, (up - lo).max(axis=1) > 1e-15 * sc, rows)
     return np.maximum(x, 0.0).reshape(a.shape)
+
+
+def _keep(x, on, going, rows):
+    """Write the iterates rows[0] of the rows `on` into x; return the rows
+    still `going` and their arrays in rows."""
+    x[on] = rows[0]
+    return (on, rows) if going.all() else (on[going], [r[going] for r in rows])
 
 
 def _lp_slope(x: np.ndarray, p: float, lam: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -535,7 +541,7 @@ def _project_lp(v: np.ndarray, p: float, radius: float, norms=None) -> np.ndarra
     return out
 
 
-def project_to_ball(w, c: BallConstraint) -> np.ndarray:
+def project_to_ball(w, c: BallConstraint):
     """Euclidean (Frobenius-distance) projection of w onto the ball c.
 
     Norms are compared with ``radius * (1 + 1e-12)``: an input within it is
@@ -546,63 +552,100 @@ def project_to_ball(w, c: BallConstraint) -> np.ndarray:
     project each row independently.  A stack (n, rows, cols) is projected
     slice by slice, with one SVD for the whole stack; its slices within the
     ball keep their bits.
+
+    A list of matrices and stacks returns the list of their projections,
+    each with the bits of its own call; a Schatten ball takes one SVD per
+    entry and projects the singular values of all entries together.
     """
-    w = np.asarray(w, dtype=np.float64)  # svd or matrix_norm validates it
-    if w.ndim != 2:
-        return _project(w, c)[0]
-    out, outside = _project(w[None], c)
-    return out[0] if outside[0] else w
+    many = isinstance(w, list)
+    ws = [np.asarray(x, float) for x in (w if many else [w])]  # svd or matrix_norm validates
+    outs = _project([x[None] if x.ndim == 2 else x for x in ws], c)
+    outs = [(out[0] if outside[0] else x) if x.ndim == 2 else out
+            for x, (out, outside) in zip(ws, outs)]
+    return outs if many else outs[0]
 
 
-def _project(w: np.ndarray, c: BallConstraint) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`project_to_ball` of a stack w (n, rows, cols), and which of its
-    slices were outside the ball (the others come back as they are)."""
+def _project(ws: list, c: BallConstraint) -> list:
+    """:func:`project_to_ball` of a list of stacks w (n, rows, cols): per
+    stack, its projection and which of its slices were outside the ball
+    (the others come back as they are)."""
     kind = c.kind
     limit = c.radius * (1.0 + 1e-12)
     if kind.tag in ("spectral", "schatten"):
-        r = svd(w)
-        norms = singular_norm(r.singular, kind)
-        outside = ~(norms <= limit)
-        every = outside.all()
-        if not (every or outside.any()):
-            return w, outside
-        pick = slice(None) if every else outside
-        s = r.singular[pick]
-        if kind.tag == "spectral":
-            s = np.minimum(s, c.radius)
-            again = None  # a clip at the radius always passes the check
+        rs = [svd(w) for w in ws]
+        svs = _project_singular([r.singular for r in rs], c, limit)
+    outs = []
+    for i, w in enumerate(ws):
+        if kind.tag in ("spectral", "schatten"):
+            s, outside, again = svs[i]
         else:
-            s = project_lp_ball(s, kind.p, c.radius, norms[pick])
-            # general p checks the norm of its result against the radius itself
-            again = ~(singular_norm(s, kind) <= limit) if kind.p == 1.0 else None
-        proj = (r.left[pick] * s[:, None, :]) @ r.right[pick].swapaxes(-1, -2)
-    else:
-        norms = matrix_norm(w, kind)
-        outside = ~(norms <= limit)
+            norms = matrix_norm(w, kind)
+            outside = ~(norms <= limit)
         every = outside.all()
         if not (every or outside.any()):
-            return w, outside
+            outs.append((w, outside))
+            continue
         pick = slice(None) if every else outside
-        v = w[pick]
-        if kind.tag == "frobenius":
-            proj = v * (c.radius / norms[pick])[:, None, None]
-        elif kind.tag == "rows_l1_max":
-            proj = project_l1_rows(v.reshape(-1, v.shape[-1]), c.radius).reshape(v.shape)
-        else:  # rows_l2_sum
-            rows = np.sqrt((v * v).sum(axis=-1))
-            shrunk = project_l1_rows(rows, c.radius)
-            scale = np.divide(shrunk, rows, out=np.zeros_like(rows), where=rows > 0)
-            proj = v * scale[..., None]
-        again = ~(matrix_norm(proj, kind) <= limit)
-    # the l1-type projections (Schatten-1 and the row norms) overshoot by about
-    # size * eps times the input's norm, which far outside exceeds the limit
-    if again is not None and again.any():
-        proj[again] = _project(proj[again], c)[0]
-    if every:
-        return proj, outside
-    out = w.copy()
-    out[outside] = proj
-    return out, outside
+        if kind.tag in ("spectral", "schatten"):
+            r = rs[i]
+            proj = (r.left[pick] * s[pick][:, None, :]) @ r.right[pick].swapaxes(-1, -2)
+            again = again[pick]
+        else:
+            v = w[pick]
+            if kind.tag == "frobenius":
+                proj = v * (c.radius / norms[pick])[:, None, None]
+            elif kind.tag == "rows_l1_max":
+                proj = project_l1_rows(v.reshape(-1, v.shape[-1]), c.radius).reshape(v.shape)
+            else:  # rows_l2_sum
+                rows = np.sqrt((v * v).sum(axis=-1))
+                shrunk = project_l1_rows(rows, c.radius)
+                scale = np.divide(shrunk, rows, out=np.zeros_like(rows), where=rows > 0)
+                proj = v * scale[..., None]
+            again = ~(matrix_norm(proj, kind) <= limit)
+        # the l1-type projections (Schatten-1 and the row norms) overshoot by about
+        # size * eps times the input's norm, which far outside exceeds the limit
+        if again.any():
+            proj[again] = _project([proj[again]], c)[0][0]
+        out = proj if every else w.copy()
+        if not every:
+            out[outside] = proj
+        outs.append((out, outside))
+    return outs
+
+
+def _project_singular(svs: list, c: BallConstraint, limit: float) -> list:
+    """Per stack (n, k) of rows of singular values in svs: its rows projected
+    onto the spectral or Schatten ball c where outside limit, which were
+    outside and which of those overshoot it.  A Schatten ball takes all
+    stacks' rows as one array, rows under 8 entries zero-padded to one length
+    (numpy sums fewer than 8 terms in order, so a zero changes no sum, and a
+    padded coordinate shrinks to 0), longer rows only with rows of their
+    length (their pairwise sums depend on it); a spectral ball each stack alone.
+    """
+    groups = {}
+    for i, sv in enumerate(svs):
+        k = sv.shape[1]
+        groups.setdefault(i if c.kind.tag == "spectral" else k if k >= 8 else 0, []).append(i)
+    out = [None] * len(svs)
+    for members in groups.values():
+        ends = np.cumsum([len(svs[i]) for i in members])
+        s = np.zeros((ends[-1], max(svs[i].shape[1] for i in members)))
+        for i, end in zip(members, ends):
+            s[end - len(svs[i]):end, :svs[i].shape[1]] = svs[i]
+        norms = singular_norm(s, c.kind)
+        outside = ~(norms <= limit)
+        again = np.zeros(len(s), dtype=bool)
+        if outside.any() and c.kind.tag == "spectral":
+            s[outside] = np.minimum(s[outside], c.radius)  # a clip passes the check
+        elif outside.any():
+            s[outside] = t = project_lp_ball(s[outside], c.kind.p, c.radius, norms[outside])
+            # general p checks the norm of its result against the radius itself
+            if c.kind.p == 1.0:
+                again[outside] = ~(singular_norm(t, c.kind) <= limit)
+        for i, end in zip(members, ends):
+            rows = slice(end - len(svs[i]), end)
+            out[i] = s[rows, :svs[i].shape[1]], outside[rows], again[rows]
+    return out
 
 
 def linear_maximizer(g, c: BallConstraint) -> np.ndarray:

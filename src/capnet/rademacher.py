@@ -243,19 +243,15 @@ def _backward(weights, acts, inputs, preacts, g_out):
 
 
 def _enforce(w, c, mask):
-    """Projection onto the layer's ball c (and its mask) of w, or of every
+    """Projection onto the layer's ball c and its mask of w, or of every
     slice of a stack (n, rows, cols) of weights.
 
-    Without a mask this is one projection, which shares its SVD with the
-    norm check and lands in the ball.  Masking can raise a Schatten norm, so
-    a masked slice alternates projection and mask until a projection changes
-    nothing; a final uniform scale-down of the slices still changing
-    guarantees strict feasibility when the alternating rounds have not
-    converged, so every candidate the ascent evaluates really is in the
-    class.
+    Masking can raise a Schatten norm, so a slice alternates projection and
+    mask until a projection changes nothing; a final uniform scale-down of
+    the slices still changing guarantees strict feasibility when the
+    alternating rounds have not converged, so every candidate the ascent
+    evaluates really is in the class.
     """
-    if mask is None:
-        return matlin.project_to_ball(w, c)
     if w.ndim == 2:
         return _enforce(w[None], c, mask)[0]
     w = w * mask
@@ -326,7 +322,8 @@ def sup_ascent(eps, spec: ClassSpec, data: Dataset, restarts: int, steps: int,
     cols) stack.  The n * restarts trajectories step together in stacks
     whose weights and layer outputs take about ASCENT_BLOCK_BYTES (one
     trajectory at least), each computed bit for bit as it would be alone, so
-    the stacking does not change the result.  A sign vector's result
+    the stacking does not change the result; each ball's unmasked layers go
+    through one :func:`matlin.project_to_ball` call.  A sign vector's result
     is the first best of its candidates in the order they would be met one
     restart after another: the zero function, then each restart's steps,
     flip and refinement.
@@ -364,8 +361,16 @@ def sup_ascent(eps, spec: ClassSpec, data: Dataset, restarts: int, steps: int,
         multiplier *= spec.balls[j].radius
         base_weights[j] = base_weights[j] / spec.balls[j].radius
 
+    # each ball's unmasked trained layers, which feasible projects in one call
+    shared = {c: [j for j in trained if balls[j] == c and masks[j] is None]
+              for c in balls if c is not None}
+
     def feasible(ws):
-        return [w if c is None else _enforce(w, c, mk) for w, c, mk in zip(ws, balls, masks)]
+        ws = [w if mk is None else _enforce(w, c, mk) for w, c, mk in zip(ws, balls, masks)]
+        for c, js in shared.items():
+            for j, w in zip(js, matlin.project_to_ball([ws[j] for j in js], c)):
+                ws[j] = w
+        return ws
 
     # trajectory i * restarts + k is restart k of sign vector i; restart 0
     # starts at the sign-weighted data correlation when the first layer is
@@ -429,8 +434,7 @@ def sup_ascent(eps, spec: ClassSpec, data: Dataset, restarts: int, steps: int,
         for t in range(1, steps + 1):
             grads = masked_grads(ws, *consider(ws, every)[1:], every)
             lr = 0.1 / math.sqrt(t)
-            for j in trained:
-                ws[j] = _enforce(ws[j] + lr * grads[j], balls[j], masks[j])
+            ws = feasible([w if c is None else w + lr * g for w, g, c in zip(ws, grads, balls)])
         # from here on ws, their objectives val and forward caches hold only
         # the trajectories at positions live, one slice each of a stacked array
         live = every
@@ -454,8 +458,8 @@ def sup_ascent(eps, spec: ClassSpec, data: Dataset, restarts: int, steps: int,
             cand = list(ws)
             for j in trained:
                 moved = grads[j].reshape(len(live), -1).any(axis=1)[:, None, None]
-                cj = np.where(moved, matlin.linear_maximizer(grads[j], balls[j]), ws[j])
-                cand[j] = _enforce(cj, balls[j], masks[j])
+                cand[j] = np.where(moved, matlin.linear_maximizer(grads[j], balls[j]), ws[j])
+            cand = feasible(cand)
             c_val, *c_caches = consider(cand, live)
             won = c_val > val
             if not won.any():

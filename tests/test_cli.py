@@ -341,6 +341,9 @@ class TestFlags:
         ["report", "--p", "0.5"],
         ["report", "--p", "nan"],
         ["lowerbound", "--p-grid", "2,-inf"],
+        ["lowerbound", "--p-grid", "2,0.5"],
+        ["report", "--p", "65"],
+        ["report", "--p", "two"],
     ])
     def test_p_outside_its_domain_is_a_usage_error(self, argv, inputs, capsys):
         net_path, data_path, _, _ = inputs
@@ -348,6 +351,11 @@ class TestFlags:
         code, out, err = run(argv[:1] + paths + argv[1:], capsys)
         assert code == 1 and not out
         assert "invalid" in err
+        # the usage error gives matlin's reason, not the name of a private parser
+        reason = {"65": "exceeds 64", "two": "could not convert"}.get(argv[-1],
+                                                                      "must satisfy p >= 1")
+        assert f"argument {argv[-2] if '=' not in argv[-1] else '--p'}: " in err
+        assert reason in err and "_parse_p" not in err and "_float_list" not in err
 
     @pytest.mark.parametrize("argv", [
         ["report", "--seed", "-1"],
@@ -515,8 +523,12 @@ class TestBadArgumentsExit2:
         ["sweep", "--depths", "2", "--samples", "2", "--steps", "-5"],
     ])
     def test_ascent_needs_a_restart_and_no_negative_steps(self, argv, inputs, capsys,
-                                                          tmp_path, rng):
+                                                          tmp_path, rng, monkeypatch):
+        # refused before any ascent runs, naming the flag and the value given
+        from capnet import rademacher
+        monkeypatch.setattr(rademacher, "sup_ascent", lambda *a, **k: pytest.fail("ran"))
         _, data_path, _, _ = inputs
+        flag = " ".join(argv[-2:])
         if argv[0] == "rademacher":
             net_path = tmp_path / "scalar.json"
             save_network(make_net([rng.standard_normal((2, 2)),
@@ -524,6 +536,7 @@ class TestBadArgumentsExit2:
             argv = argv[:1] + ["--network", str(net_path), "--data", data_path] + argv[1:]
         code, stdout, err = run(argv, capsys)
         assert code == 2 and "restarts >= 1 and steps >= 0" in err
+        assert f"got {flag}" in err
         assert stdout == ""
 
 

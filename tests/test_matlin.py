@@ -577,3 +577,161 @@ class TestStacks:
             matlin.project_to_ball(np.ones(3), c)
         with pytest.raises(ValueError, match="2-D"):
             matlin.matrix_norm(np.ones((1, 2, 2, 2)), matlin.FROBENIUS)
+
+
+JOINED_KINDS = [matlin.SPECTRAL, matlin.FROBENIUS, matlin.ROWS_L2_SUM, matlin.ROWS_L1_MAX] + [
+    matlin.schatten(p) for p in (1.0, 1.5, 2.0, 4.0, 64.0)]
+
+
+def _own_norm(s, kind):
+    """The norm of the matrix s as project_to_ball checks it."""
+    if kind.tag in ("spectral", "schatten"):
+        return matlin.singular_norm(matlin.svd(s).singular, kind)
+    return matlin.matrix_norm(s, kind)
+
+
+def _joined_lists(seed, count):
+    """Lists of 1-4 matrices and stacks (1-3 slices) for one ball, cycling
+    through JOINED_KINDS with radius 0.5..3.  min(rows, cols) is 1, 3, 5 or 7,
+    or 8, 9, 10, 16 or 17, so that rows of singular values padded to a common
+    length share a call with rows of 8 or more, of several lengths.  Each
+    slice is 0.1..10 times the radius in the ball's norm: in every fifth list
+    all slices lie inside, in the next all outside; about one slice in ten is
+    zero.  In every third list the radius puts one slice's norm, as its own
+    call computes it, exactly on the limit radius * (1 + 1e-12), so that a
+    norm summed otherwise in the joined call would show in the result."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        kind = JOINED_KINDS[i % len(JOINED_KINDS)]
+        c = matlin.BallConstraint(kind, float(rng.uniform(0.5, 3.0)))
+        lo, hi = {0: (0.1, 0.99), 1: (1.01, 10.0)}.get(i % 5, (0.1, 10.0))
+        entries = []
+        for _ in range(int(rng.integers(1, 5))):
+            k = int(rng.choice([1, 3, 5, 7, 8, 9, 10, 16, 17]))
+            shape = (k, k + int(rng.integers(0, 4)))
+            n = int(rng.integers(1, 4))
+            w = rng.standard_normal((n,) + (shape if rng.random() < 0.5 else shape[::-1]))
+            factor = np.exp(rng.uniform(math.log(lo), math.log(hi), n))
+            w *= (c.radius * factor / matlin.matrix_norm(w, kind))[:, None, None]
+            w[rng.random(n) < 0.1] = 0.0
+            entries.append(w[0] if rng.random() < 0.3 else w)
+        if i % 3 == 2:
+            w = entries[int(rng.integers(len(entries)))]
+            norm = _own_norm(w if w.ndim == 2 else w[int(rng.integers(len(w)))], kind)
+            radius = norm / (1.0 + 1e-12)
+            for _ in range(4 if norm > 0.0 else 0):
+                if radius * (1.0 + 1e-12) == norm:
+                    c = matlin.BallConstraint(kind, radius)
+                    break
+                radius = np.nextafter(radius, math.inf if radius * (1.0 + 1e-12) < norm else 0.0)
+        yield entries, c
+
+
+class TestJoinedProjection:
+    """project_to_ball of a list takes the rows of singular values of all
+    its entries through one Schatten-ball check and projection (rows of
+    fewer than 8 entries zero-padded to a common length); every entry must
+    come out as its own call has it, and every slice as the 2-D form kept in
+    the oracles."""
+
+    @staticmethod
+    def _check(entries, c):
+        got = matlin.project_to_ball(entries, c)
+        assert isinstance(got, list) and len(got) == len(entries)
+        for w, out in zip(entries, got):
+            want = matlin.project_to_ball(w, c)
+            assert out.shape == w.shape and np.array_equal(out, want), (w, c)
+            for wi, oi in zip(w[None] if w.ndim == 2 else w, out[None] if w.ndim == 2 else out):
+                assert np.array_equal(oi, project_to_ball_2d(wi, c)), (wi, c)
+
+    def test_list_equals_per_entry_calls(self):
+        seen = collections.Counter()
+        for entries, c in _joined_lists(15, 2000):
+            self._check(entries, c)
+            slices = [s for w in entries for s in (w[None] if w.ndim == 2 else w)]
+            inside = [matlin.matrix_norm(s, c.kind) <= c.radius for s in slices]
+            seen["all inside" if all(inside) else "all outside" if not any(inside)
+                 else "mixed"] += 1
+            seen["zero slice"] += any(not s.any() for s in slices)
+            ks = {min(s.shape) for s in slices}
+            seen["short and long rows"] += min(ks) < 8 <= max(ks)
+            seen["long rows of two lengths"] += len({k for k in ks if k >= 8}) > 1
+            seen["a slice on the limit"] += any(
+                _own_norm(s, c.kind) == c.radius * (1.0 + 1e-12) for s in slices)
+            seen["short rows of two lengths"] += len({k for k in ks if k < 8}) > 1
+            seen[kind_id(c.kind)] += 1
+        assert min(seen.values()) >= 50, seen
+
+    def test_overflowing_multiplier_among_other_entries(self):
+        # the multiplier of [[0.00073198]] overflows at p = 64 and radius
+        # 1.25e-6 and takes the unit-ball rescale; joined with padded rows
+        # and rows of 8 or more it keeps the bits of its own call
+        rng = np.random.default_rng(64)
+        c = matlin.BallConstraint(matlin.schatten(64.0), 1.25e-6)
+        entries = [np.array([[0.00073198]]), 1e-6 * rng.standard_normal((2, 3, 5)),
+                   1e-6 * rng.standard_normal((9, 8))]
+        self._check(entries, c)
+        assert np.isfinite(matlin.project_to_ball(entries, c)[0]).all()
+
+    def test_other_forms(self, rng):
+        # an empty list, and a single matrix or stack is the list of one
+        c = matlin.BallConstraint(matlin.schatten(1.5), 1.0)
+        assert matlin.project_to_ball([], c) == []
+        w = 3.0 * rng.standard_normal((2, 4, 3))
+        assert np.array_equal(matlin.project_to_ball(w, c), matlin.project_to_ball([w], c)[0])
+        assert np.array_equal(matlin.project_to_ball(w[0], c),
+                              matlin.project_to_ball([w[0]], c)[0])
+        inside = 0.01 * w[0]
+        assert matlin.project_to_ball([inside, w], c)[0] is inside
+        with pytest.raises(ValueError, match="2-D"):
+            matlin.project_to_ball([w, np.ones(3)], c)
+
+
+class TestShrinkStack:
+    # a row that runs into the p >= 2 Newton loop's 80-step cap, met in the
+    # benchmark's p = 2 ascent: its entry near 1 keeps moving by one ulp per
+    # step, which the stop test 1e-16 * scale never accepts
+    CAP_ROW, CAP_LAM = [1.000140305663656, 0.0, 0.0], 7.015286683217722e-05
+
+    @pytest.mark.parametrize("p", [1.01, 1.5, 2.0, 3.0, 64.0])
+    def test_rows_equal_their_lone_calls(self, p, monkeypatch):
+        rng = np.random.default_rng(int(10 * p))
+        stopped, keep = [], matlin._keep
+
+        def recording(x, on, going, rows):
+            stopped.extend(on[~going].tolist())
+            return keep(x, on, going, rows)
+
+        monkeypatch.setattr(matlin, "_keep", recording)
+        for trial in range(40):
+            n, k = int(rng.integers(1, 9)), int(rng.integers(1, 11))
+            a = np.abs(rng.standard_normal((n, k))) * np.exp(rng.uniform(-3.0, 3.0, (n, 1)))
+            a[rng.random((n, k)) < 0.2] = 0.0
+            lam = np.exp(rng.uniform(-12.0, 4.0, n))
+            lam[rng.random(n) < 0.25] = 0.0
+            cap = p == 2.0 and k >= 3 and trial % 2 == 0
+            if cap:
+                a[-1], lam[-1] = self.CAP_ROW + [0.0] * (k - 3), self.CAP_LAM
+            del stopped[:]
+            x = matlin._lp_shrink(a, p, lam)
+            assert x.shape == a.shape
+            stopped_in_stack = sorted(stopped)
+            for row, l, got in zip(a, lam, x):
+                assert np.array_equal(got, matlin._lp_shrink(row, p, float(l)))
+                if l == 0.0:
+                    assert np.array_equal(got, row)
+                    continue
+                # the root of the increasing f(y) = y + lam p y^(p-1) - a lies
+                # within 1e-9 relative of got, up to the solver's residual
+                # tolerance 1e-13 * max(1, max(a)) and f's rounding (a root
+                # among the subnormals has no 1e-9 relative neighbours)
+                with np.errstate(all="ignore"):
+                    lower, upper = (y + l * p * y ** (p - 1.0) - row
+                                    for y in (got * (1.0 - 1e-9), got * (1.0 + 1e-9)))
+                slack = 1e-13 * max(1.0, row.max()) + 8.0 * np.finfo(float).eps * row
+                pos = got >= np.finfo(float).tiny
+                assert np.all(lower[pos] <= slack[pos]) and np.all(upper[pos] >= -slack[pos])
+            if cap:
+                # every other row with a multiplier stopped on its own test;
+                # the capped one never did and still came out as alone
+                assert stopped_in_stack == [i for i in range(n - 1) if lam[i] != 0.0]

@@ -192,27 +192,29 @@ class TestEnforce:
     def test_one_svd_per_layer_per_step(self, p, monkeypatch):
         # the norm check and the projection share one SVD, and the projected
         # point needs no re-check; the restarts step as one stack, so one
-        # stacked SVD serves every restart's layer
+        # stacked SVD serves every restart's layer, and the layers of the one
+        # ball go through one projection call
         net = verify.random_net(np.random.default_rng(0), depth=4, max_width=8,
                                 scalar_output=True, input_dim=6)
         data = Dataset(points=np.random.default_rng(5).standard_normal((32, 6)))
         eps = np.random.default_rng(6).choice([-1.0, 1.0], size=32)
         svd, calls = np.linalg.svd, []
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
-        enforce, per_call = rademacher._enforce, []
+        project, per_call = matlin.project_to_ball, []
 
-        def counted(*args):
+        def counted(w, c):
             before = len(calls)
-            out = enforce(*args)
-            per_call.append(len(calls) - before)
+            out = project(w, c)
+            per_call.append((len(w) if isinstance(w, list) else 1, len(calls) - before))
             return out
 
-        monkeypatch.setattr(rademacher, "_enforce", counted)
+        monkeypatch.setattr(matlin, "project_to_ball", counted)
         steps = 6
         rademacher.sup_ascent(eps, cli._ball_class(net, p), data, restarts=2, steps=steps,
                               seed=3)
-        assert len(per_call) >= steps * net.depth
-        assert set(per_call) == {1}
+        # (layers projected, SVDs taken) of every call: all layers, one SVD each
+        assert len(per_call) >= steps
+        assert set(per_call) == {(net.depth, net.depth)}
 
     @pytest.mark.parametrize("kind", [matlin.SPECTRAL, matlin.schatten(1), matlin.schatten(1.5),
                                       matlin.schatten(2), matlin.schatten(4), matlin.FROBENIUS,
@@ -224,7 +226,7 @@ class TestEnforce:
             for _ in range(25):
                 w = rng.standard_normal((rng.integers(1, 9), rng.integers(1, 9))) * scale
                 c = matlin.BallConstraint(kind, float(rng.uniform(0.1, 3.0)))
-                out = rademacher._enforce(w, c, None)
+                out = matlin.project_to_ball(w, c)
                 assert matlin.matrix_norm(out, kind) <= c.radius * (1 + 1e-12)
 
 
@@ -377,8 +379,13 @@ class TestValueCap:
         argv = ["rademacher", "--network", paths[0], "--data", paths[1], "--p", "inf",
                 "--samples", "2", "--restarts", "1", "--steps", "20"]
         assert cli.main(argv) == 0
-        enforce = rademacher._enforce
-        monkeypatch.setattr(rademacher, "_enforce", lambda w, c, mask: 2.0 * enforce(w, c, mask))
+        project = matlin.project_to_ball
+
+        def doubled(w, c):
+            out = project(w, c)
+            return [2.0 * x for x in out] if isinstance(w, list) else 2.0 * out
+
+        monkeypatch.setattr(matlin, "project_to_ball", doubled)
         capsys.readouterr()
         assert cli.main(argv) == 3
         assert "cap" in capsys.readouterr().err
