@@ -44,18 +44,34 @@ def _parse_p(text: str) -> float:
     return p
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+
+
 def _seed(text: str) -> int:
-    if int(text) < 0:
+    seed = _int(text)
+    if seed < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
-    return int(text)
+    return seed
+
+
+def _grid(parse, text: str) -> list:
+    """A grid flag's comma-separated values, at least one, each read by parse."""
+    values = [parse(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"needs at least one value, got {text!r}")
+    return values
 
 
 def _float_list(text: str) -> list[float]:
-    return [_parse_p(tok) for tok in text.split(",") if tok.strip()]
+    return _grid(_parse_p, text)
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    return _grid(_int, text)
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -30,8 +30,9 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     """The generator for spawn key ``key`` under master seed ``seed``.
 
     Every per-index stream (samples, restarts, points, trials) is this
-    generator's stream (``_index_streams`` derives many of them at once), so
-    it depends only on (seed, key), never on what was drawn before.
+    generator's stream (``_index_streams`` and ``sphere_points`` derive many
+    of them at once), so it depends only on (seed, key), never on what was
+    drawn before.
     """
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
@@ -131,19 +132,167 @@ def _index_streams(seed: int, key: tuple[int, ...], count: int):
         yield gen(bits(seeded(words)))
 
 
+# numpy's PCG64 (numpy/random/src/pcg64): a 128-bit LCG with XSL-RR output,
+# reproduced by _pcg64_raw on uint64 halves.  Every constant is a np.uint64 so
+# that numpy 1.x's value-based casting cannot promote a uint64 array to float64.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_U32, _LO32 = np.uint64(32), np.uint64(_MASK32)
+_ONE, _EIGHT, _NINE, _N64 = np.uint64(1), np.uint64(8), np.uint64(9), np.uint64(64)
+_LOW63, _LOW52, _LOW8 = np.uint64(63), np.uint64((1 << 52) - 1), np.uint64(0xFF)
+_ROT = np.uint64(122 - 64)  # XSL-RR rotates by the state's top 6 bits
+# raw words drawn per block of sphere points; bounds the block's arrays to a few MB
+_SPHERE_BLOCK_WORDS = 1 << 16
+# above this dimension numpy's per-point generator draws sphere points faster:
+# 1.5% of draws leave the ziggurat fast path, so more points are drawn twice
+# (a quarter at dimension 20) while the vectorised words cost more per point
+_FAST_NORMALS_MAX_DIM = 16
+
+
+def _halves(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low uint64 halves of 128-bit integers."""
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & (1 << 64) - 1 for v in values], dtype=np.uint64))
+
+
+def _mul128(hi, lo, c_hi, c_lo):
+    """(hi, lo) * (c_hi, c_lo) mod 2**128 on uint64 halves: the low halves'
+    full product is taken in 32-bit limbs for its carry into the high half."""
+    a1, a0, b1, b0 = lo >> _U32, lo & _LO32, c_lo >> _U32, c_lo & _LO32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> _U32) + (p01 & _LO32) + (p10 & _LO32)
+    carry = a1 * b1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
+    return carry + hi * c_lo + lo * c_hi, lo * c_lo
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _pcg64_raw(words: np.ndarray, n: int) -> np.ndarray:
+    """(count, n) uint64: the first n outputs of numpy's PCG64 seeded with
+    each row of ``words`` (initial state words 0-1, stream words 2-3, high
+    half first), as ``random_raw(n)`` gives them.
+
+    Seeding steps the LCG s -> M*s + inc from 0, adds the state words u and
+    steps again; output j steps once more and takes XSL-RR of the state.  So
+    output j (from 1) reads s = M**(j+1) * (u + inc) + (M**j + ... + 1) * inc,
+    every output of every stream reached in one jump.
+    """
+    mult, pows, sums = _PCG_MULT, [], []
+    power, total = mult, 1
+    for _ in range(n):
+        total = (total + power) % (1 << 128)
+        power = power * mult % (1 << 128)
+        pows.append(power)
+        sums.append(total)
+    a_hi, a_lo = _halves(pows)
+    c_hi, c_lo = _halves(sums)
+    w = words[:, :, None]
+    inc_hi, inc_lo = w[:, 2] << _ONE | w[:, 3] >> _LOW63, w[:, 3] << _ONE | _ONE
+    s_hi, s_lo = _add128(*_mul128(*_add128(w[:, 0], w[:, 1], inc_hi, inc_lo), a_hi, a_lo),
+                         *_mul128(inc_hi, inc_lo, c_hi, c_lo))
+    x, rot = s_hi ^ s_lo, s_hi >> _ROT
+    return x >> rot | x << (_N64 - rot & _LOW63)
+
+
+@functools.cache
+def _ziggurat() -> tuple[np.ndarray, np.ndarray]:
+    """numpy's ziggurat tables for ``standard_normal``, read off numpy's own
+    generator once per process: per layer idx, the width ``wi[idx]`` and a
+    bound below which a 52-bit ``rabs`` takes the fast path (0 where none is
+    confirmed, so that every draw of that layer goes to numpy).
+
+    A probe sets PCG64 to a state whose next word carries (idx, rabs) and
+    counts only if numpy stepped exactly once, i.e. took the fast path.
+    ``wi[idx]`` is the draw at rabs = 1; a bound b stands only once rabs = b - 1
+    was accepted, so it never exceeds numpy's own and a wrong guess costs
+    speed, never bits.
+    """
+    bits = np.random.PCG64(0)
+    gen = np.random.Generator(bits)
+    inverse = pow(_PCG_MULT, -1, 1 << 128)
+
+    def fast(idx: int, rabs: int):
+        # with inc 1 one step lands on the word itself: rotation 0, halves XOR to it
+        word = rabs << 9 | idx
+        bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                      "state": {"state": (word - 1) * inverse % (1 << 128), "inc": 1}}
+        value = gen.standard_normal()
+        return value if bits.state["state"]["state"] == word else None
+
+    wi, bound = np.zeros(256), np.zeros(256, dtype=np.uint64)
+    for idx in range(256):
+        wi[idx] = fast(idx, 1) or 0.0
+    for idx in map(int, np.flatnonzero(wi)):
+        lo, hi = 1, 1 << 52  # rabs lo is accepted; rabs hi is past the 52 bits
+        # numpy's bound is 2**52 times the ratio of adjacent widths, to within a unit
+        guess = int(2.0 ** 52 * wi[idx - 1] / wi[idx]) - 1 if idx > 1 else 0
+        if lo < guess < hi:
+            lo, hi = (guess, guess + 1) if fast(idx, guess) is not None else (lo, guess)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if fast(idx, mid) is not None else (lo, mid)
+        bound[idx] = lo + 1
+    wi.flags.writeable = bound.flags.writeable = False  # shared by every call
+    return wi, bound
+
+
+def _fast_normals(words: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out[i]`` with ``standard_normal`` of the PCG64 seeded by
+    ``words[i]``: the raw words of every stream come from one vectorised pass
+    (``_pcg64_raw``) and go through numpy's ziggurat fast path
+    (``_ziggurat``); a point with any draw outside it is drawn whole by numpy's
+    own generator.  Points go in blocks of ``_SPHERE_BLOCK_WORDS`` words.
+
+    Raises NumericalError if index 0's raw words, or the normals of the first
+    point that takes the fast path, are not numpy's.
+    """
+    seeded, gen, bits = _hashed_words(), np.random.Generator, np.random.PCG64
+    count, dim = out.shape
+    block, checked = max(1, _SPHERE_BLOCK_WORDS // dim), False
+    for start in range(0, count, block):
+        seeds, rows = words[start:start + block], out[start:start + block]
+        raw = _pcg64_raw(seeds, dim)
+        if start == 0 and not np.array_equal(raw[0], bits(seeded(seeds[0])).random_raw(dim)):
+            raise NumericalError(f"raw words differ from numpy {np.__version__}'s PCG64")
+        wi, bound = _ziggurat()  # after the check: never probe a PCG64 that differs
+        # numpy's ziggurat word: layer in bits 0-7, sign in bit 8, rabs in bits 9-60
+        idx, rabs = (raw & _LOW8).astype(np.intp), raw >> _NINE & _LOW52
+        np.multiply(rabs, wi[idx], out=rows)
+        np.negative(rows, out=rows, where=(raw >> _EIGHT & _ONE).astype(bool))
+        fast = (rabs < bound[idx]).all(axis=1)
+        if not checked and fast.any():
+            j = int(fast.argmax())
+            if not np.array_equal(rows[j], gen(bits(seeded(seeds[j]))).standard_normal(dim)):
+                raise NumericalError(
+                    f"normals differ from numpy {np.__version__}'s standard_normal")
+            checked = True
+        for i in np.flatnonzero(~fast):
+            gen(bits(seeded(seeds[i]))).standard_normal(out=rows[i])
+
+
 def sphere_points(dim: int, count: int, seed: int, key: tuple[int, ...] = ()) -> np.ndarray:
     """(count, dim) unit vectors; point i is drawn from ``_rng(seed, *key, i)``.
 
-    The streams are exactly those of ``SeedSequence(seed, spawn_key=(*key, i))``,
-    derived for all points in one vectorised pass.  A zero draw falls back to
-    the first basis vector.
+    The normals are exactly those of ``SeedSequence(seed, spawn_key=(*key, i))``
+    -> PCG64 -> ``standard_normal``, with the seed words of all points derived
+    in one vectorised pass.  Up to ``_FAST_NORMALS_MAX_DIM`` the normals are
+    drawn as whole-array passes (``_fast_normals``); above it numpy's generator
+    draws each point, which is then quicker: more points would leave the
+    vectorised fast path and be drawn twice.  A zero draw falls back to the
+    first basis vector.
     """
     if dim < 1 or count < 0:
         raise ValueError(f"need dimension >= 1 and count >= 0, got dim={dim}, count={count}")
     pts = np.empty((count, dim))
-    seeded, gen, bits = _hashed_words(), np.random.Generator, np.random.PCG64
-    for row, words in zip(pts, _index_words(seed, key, count)):
-        gen(bits(seeded(words))).standard_normal(out=row)
+    words = _index_words(seed, key, count)
+    if dim <= _FAST_NORMALS_MAX_DIM:
+        _fast_normals(words, pts)
+    else:
+        seeded, gen, bits = _hashed_words(), np.random.Generator, np.random.PCG64
+        for row, w in zip(pts, words):
+            gen(bits(seeded(w))).standard_normal(out=row)
     # each row's ddot, as np.linalg.norm takes it; a summed square can differ by 1 ulp
     norm = np.sqrt((pts[:, None, :] @ pts[:, :, None])[:, 0, 0])
     zero = norm == 0

@@ -148,6 +148,14 @@ class TestCompress:
                             "--r", "2"], capsys)
         assert code == 4 and "SeedSequence" in err
 
+    def test_diverged_pcg64_stepping_exits_4(self, inputs, capsys, monkeypatch):
+        from capnet import network
+        net_path, data_path, _, _ = inputs
+        monkeypatch.setattr(network, "_PCG_MULT", network._PCG_MULT ^ 2)
+        code, _, err = run(["compress", "--network", net_path, "--data", data_path,
+                            "--r", "2"], capsys)
+        assert code == 4 and "PCG64" in err
+
     def test_dimension_mismatch_exit_2(self, inputs, capsys, tmp_path):
         # the domain radius of a dataset the network cannot read certifies nothing
         net_path, _, _, _ = inputs  # network expects dimension 2
@@ -373,6 +381,32 @@ class TestFlags:
         code, out, err = run(argv[:1] + paths.get(argv[0], []) + argv[1:], capsys)
         assert code == 1 and not out
         assert "argument --seed: must be a non-negative integer, got -" in err
+
+    @pytest.mark.parametrize("argv, flag, token", [
+        (["report", "--seed", "x"], "--seed", "x"),
+        (["sweep", "--seed", "1.5"], "--seed", "1.5"),
+        (["lowerbound", "--h-grid", "2,x"], "--h-grid", "'x'"),
+        (["lowerbound", "--m-grid", "8,2.5"], "--m-grid", "'2.5'"),
+        (["sweep", "--depths", "two"], "--depths", "'two'"),
+    ])
+    def test_non_integer_names_the_flag_and_token(self, argv, flag, token, inputs, capsys):
+        net_path, data_path, _, _ = inputs
+        paths = ["--network", net_path, "--data", data_path] if argv[0] == "report" else []
+        code, out, err = run(argv[:1] + paths + argv[1:], capsys)
+        assert code == 1 and not out
+        assert f"argument {flag}: " in err and token in err.splitlines()[-1]
+        assert "_seed" not in err and "_int_list" not in err and "_int " not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["lowerbound", "--h-grid", ","],
+        ["lowerbound", "--m-grid", ","],
+        ["lowerbound", "--p-grid", ", "],
+        ["sweep", "--depths", ","],
+    ])
+    def test_empty_grid_is_a_usage_error(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 1 and not out
+        assert f"argument {argv[1]}: needs at least one value" in err
 
     def test_seed_zero_is_accepted(self, capsys):
         code, out, _ = run(["sweep", "--depths", "2", "--seed", "0"], capsys)

@@ -343,6 +343,94 @@ class TestSpherePoints:
             assert np.array_equal(got, sphere_points_per_point(dim, count, seed, key)), \
                 (dim, count, seed, key)
 
+    def test_raw_words_are_numpys(self):
+        from capnet.network import _index_words, _pcg64_raw
+        for dim, count, seed, key in self._cases():
+            got = _pcg64_raw(_index_words(seed, key, count), dim)
+            want = [np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(*key, i)))
+                    .random_raw(dim) for i in range(count)]
+            assert np.array_equal(got, np.reshape(want, (count, dim))), (dim, count, seed, key)
+
+    def test_every_point_through_numpys_generator(self, monkeypatch):
+        # every bound 0: no draw takes the vectorised fast path
+        from capnet import network
+        from oracles import sphere_points_per_point
+        wi, _ = network._ziggurat()
+        monkeypatch.setattr(network, "_ziggurat", lambda: (wi, np.zeros(256, np.uint64)))
+        for dim, count, seed, key in self._cases():
+            assert np.array_equal(network.sphere_points(dim, count, seed, key),
+                                  sphere_points_per_point(dim, count, seed, key)), \
+                (dim, count, seed, key)
+
+    def test_tables_read_every_layer_but_one(self):
+        # numpy's layer 1 never takes the fast path; every other layer must, or
+        # its draws all go through numpy's generator
+        from capnet.network import _ziggurat
+        wi, bound = _ziggurat()
+        assert list(np.flatnonzero(bound == 0)) == [1]
+        assert np.all(wi[bound > 0] > 0) and np.all(bound < 1 << 52)
+
+    @pytest.mark.parametrize("dim, count, block_words", [
+        (16, 2 * 4096 + 7, None),  # three blocks of the default size, the last partial
+        (6, 13, 4),  # fewer words per block than one point: a point per block
+    ])
+    def test_count_spanning_several_blocks(self, dim, count, block_words, monkeypatch):
+        from capnet import network
+        from oracles import sphere_points_per_point
+        if block_words:
+            monkeypatch.setattr(network, "_SPHERE_BLOCK_WORDS", block_words)
+        assert count > network._SPHERE_BLOCK_WORDS // dim * 2
+        assert np.array_equal(network.sphere_points(dim, count, 11, (4,)),
+                              sphere_points_per_point(dim, count, 11, (4,)))
+
+    def test_dim_64_mostly_falls_back(self):
+        # the vectorised pass still gives numpy's normals where most points
+        # leave its fast path; sphere_points itself draws them per point there
+        from capnet import network
+        from oracles import sphere_points_per_point
+        words = network._index_words(3, (9,), 400)
+        raw = network._pcg64_raw(words, 64)
+        _, bound = network._ziggurat()
+        fast = ((raw >> np.uint64(9) & np.uint64((1 << 52) - 1))
+                < bound[(raw & np.uint64(0xFF)).astype(np.intp)]).all(axis=1)
+        assert 0 < fast.sum() < 200
+        normals = np.empty((400, 64))
+        network._fast_normals(words, normals)
+        assert np.array_equal(normals, [network._rng(3, 9, i).standard_normal(64)
+                                        for i in range(400)])
+        assert np.array_equal(network.sphere_points(64, 400, 3, (9,)),
+                              sphere_points_per_point(64, 400, 3, (9,)))
+
+    def test_either_side_of_the_vectorised_dimensions(self):
+        from capnet import network
+        from oracles import sphere_points_per_point
+        for dim in (network._FAST_NORMALS_MAX_DIM, network._FAST_NORMALS_MAX_DIM + 1):
+            assert np.array_equal(network.sphere_points(dim, 300, 5, (2,)),
+                                  sphere_points_per_point(dim, 300, 5, (2,))), dim
+
+    def test_wrong_pcg64_multiplier_raises(self, monkeypatch):
+        from capnet import network
+        from capnet.errors import NumericalError
+        monkeypatch.setattr(network, "_PCG_MULT", network._PCG_MULT ^ 2)
+        with pytest.raises(NumericalError, match=f"{np.__version__}'s PCG64"):
+            network.sphere_points(3, 5, seed=7)
+
+    @pytest.mark.parametrize("seed, block_words", [
+        (7, None),  # index 0 takes the fast path
+        (4, None),  # index 0 falls back to numpy's generator, index 1 does not
+        (4, 3),  # ... and index 1 is in the second block
+    ])
+    def test_wrong_ziggurat_width_raises(self, seed, block_words, monkeypatch):
+        # the first point that takes the fast path is checked against numpy
+        from capnet import network
+        from capnet.errors import NumericalError
+        if block_words:
+            monkeypatch.setattr(network, "_SPHERE_BLOCK_WORDS", block_words)
+        wi, bound = network._ziggurat()
+        monkeypatch.setattr(network, "_ziggurat", lambda: (wi * 2, bound))
+        with pytest.raises(NumericalError, match=f"{np.__version__}'s standard_normal"):
+            network.sphere_points(3, 5, seed=seed)
+
     def test_every_stream_state_is_numpys(self):
         from capnet.network import _index_streams, _rng
         for dim, count, seed, key in self._cases():
