@@ -131,8 +131,7 @@ def build_diag(h: int, m: int, p: float, B: float, gamma: float,
         buckets=tuple(tuple(b) for b in buckets),
     )
 
-    mask = np.zeros((h + 1, h))
-    mask[np.arange(h), np.arange(h)] = 1.0
+    mask = np.eye(h + 1, h)
     first = Layer(weight=(budgets[0] * h ** (-1.0 / p)) * mask,
                   activation="max_to_scalar")
     layers = [first]

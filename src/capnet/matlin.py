@@ -565,6 +565,26 @@ def project_to_ball(w, c: BallConstraint):
     return outs if many else outs[0]
 
 
+def project_masked(w, c: BallConstraint, mask) -> np.ndarray:
+    """Euclidean projection of w, or of every slice of a stack, onto the
+    ball c among the matrices 0 off mask, a 0/1 partial permutation (checked
+    by the caller).  There the singular values are the masked entries'
+    absolute values, one per row, so c is the l_p ball of those entries and
+    one step of :func:`_project_rows` is exact; norms are compared with
+    ``radius * (1 + 1e-12)``, as :func:`project_to_ball` compares them."""
+    w = np.asarray(w, dtype=np.float64)
+    rows, cols = np.nonzero(mask)
+    out, e = np.zeros_like(w), np.atleast_2d(w[..., rows, cols])
+    p = {"spectral": math.inf, "rows_l1_max": math.inf, "frobenius": 2.0,
+         "rows_l2_sum": 1.0}.get(c.kind.tag, c.kind.p)
+    todo = np.arange(len(e) if rows.size else 0)
+    while todo.size:  # the rows that the l1 rule left outside the limit go again
+        e[todo], _, again = _project_rows(e[todo], p, c.radius, c.radius * (1.0 + 1e-12))
+        todo = todo[again]
+    out[..., rows, cols] = e.reshape(out[..., rows, cols].shape)
+    return out
+
+
 def _project(ws: list, c: BallConstraint) -> list:
     """:func:`project_to_ball` of a list of stacks w (n, rows, cols): per
     stack, its projection and which of its slices were outside the ball
@@ -573,7 +593,8 @@ def _project(ws: list, c: BallConstraint) -> list:
     limit = c.radius * (1.0 + 1e-12)
     if kind.tag in ("spectral", "schatten"):
         rs = [svd(w) for w in ws]
-        svs = _project_singular([r.singular for r in rs], c, limit)
+        svs = (_project_singular([r.singular for r in rs], c, limit) if kind.tag == "schatten"
+               else [_project_rows(r.singular, math.inf, c.radius, limit) for r in rs])  # a clip
     outs = []
     for i, w in enumerate(ws):
         if kind.tag in ("spectral", "schatten"):
@@ -614,38 +635,45 @@ def _project(ws: list, c: BallConstraint) -> list:
 
 
 def _project_singular(svs: list, c: BallConstraint, limit: float) -> list:
-    """Per stack (n, k) of rows of singular values in svs: its rows projected
-    onto the spectral or Schatten ball c where outside limit, which were
-    outside and which of those overshoot it.  A Schatten ball takes all
-    stacks' rows as one array, rows under 8 entries zero-padded to one length
-    (numpy sums fewer than 8 terms in order, so a zero changes no sum, and a
-    padded coordinate shrinks to 0), longer rows only with rows of their
-    length (their pairwise sums depend on it); a spectral ball each stack alone.
+    """:func:`_project_rows` of each stack (n, k) of rows of singular values
+    in svs on the Schatten ball c.  All stacks' rows are projected as one
+    array, rows under 8 entries zero-padded to one length (numpy sums fewer
+    than 8 terms in order, so a zero changes no sum, and a padded coordinate
+    shrinks to 0), longer rows only with rows of their length (their
+    pairwise sums depend on it).
     """
     groups = {}
     for i, sv in enumerate(svs):
         k = sv.shape[1]
-        groups.setdefault(i if c.kind.tag == "spectral" else k if k >= 8 else 0, []).append(i)
+        groups.setdefault(k if k >= 8 else 0, []).append(i)
     out = [None] * len(svs)
     for members in groups.values():
         ends = np.cumsum([len(svs[i]) for i in members])
         s = np.zeros((ends[-1], max(svs[i].shape[1] for i in members)))
         for i, end in zip(members, ends):
             s[end - len(svs[i]):end, :svs[i].shape[1]] = svs[i]
-        norms = singular_norm(s, c.kind)
-        outside = ~(norms <= limit)
-        again = np.zeros(len(s), dtype=bool)
-        if outside.any() and c.kind.tag == "spectral":
-            s[outside] = np.minimum(s[outside], c.radius)  # a clip passes the check
-        elif outside.any():
-            s[outside] = t = project_lp_ball(s[outside], c.kind.p, c.radius, norms[outside])
-            # general p checks the norm of its result against the radius itself
-            if c.kind.p == 1.0:
-                again[outside] = ~(singular_norm(t, c.kind) <= limit)
+        s, outside, again = _project_rows(s, c.kind.p, c.radius, limit)
         for i, end in zip(members, ends):
             rows = slice(end - len(svs[i]), end)
             out[i] = s[rows, :svs[i].shape[1]], outside[rows], again[rows]
     return out
+
+
+def _project_rows(s: np.ndarray, p: float, radius: float, limit: float):
+    """The rows of the stack s (n, k) outside the l_p ball's limit projected
+    onto the ball of the radius (a clip at p = inf), which were outside, and
+    which the l1 rule left outside the limit (by about k * eps times a norm)."""
+    a = np.abs(s)
+    norms = a.max(axis=1) if p == math.inf else _lp_row_norms(a, p)
+    outside = ~(norms <= limit)
+    s, again = s.copy(), np.zeros(len(s), dtype=bool)
+    if p == math.inf:
+        s[outside] = np.clip(s[outside], -radius, radius)
+    elif outside.any():
+        s[outside] = t = project_lp_ball(s[outside], p, radius, norms[outside])
+        if p == 1.0:
+            again[outside] = ~(_lp_row_norms(np.abs(t), p) <= limit)
+    return s, outside, again
 
 
 def linear_maximizer(g, c: BallConstraint) -> np.ndarray:

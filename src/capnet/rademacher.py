@@ -55,7 +55,8 @@ class ClassSpec:
     balls holds each layer's ball, or None for a layer frozen at its
     template weights (e.g. the fixed scalar tail of the lower-bound
     construction).  masks optionally pin a sparsity pattern (entries off the
-    mask stay zero); left as None, it becomes no mask on every layer.
+    mask stay zero), each a 0/1 partial permutation of its layer's shape (at
+    most one 1 per row and column); None is no mask on every layer.
     """
 
     template: Network
@@ -74,6 +75,14 @@ class ClassSpec:
             object.__setattr__(self, "masks", (None,) * d)
         if any(c is None and mk is not None for c, mk in zip(self.balls, self.masks)):
             raise ValueError("a frozen (None) layer keeps its template weights and takes no mask")
+        for j, (layer, mk) in enumerate(zip(self.template.layers, self.masks)):
+            if mk is None:
+                continue
+            mk, shape = np.asarray(mk), layer.weight.shape
+            if (mk.shape != shape or not np.isin(mk, (0, 1)).all()
+                    or (mk.sum(axis=0) > 1).any() or (mk.sum(axis=1) > 1).any()):
+                raise ValueError(f"layer {j}: a mask must be a 0/1 matrix of shape {shape} with "
+                                 f"at most one 1 per row and per column, got shape {mk.shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -242,34 +251,6 @@ def _backward(weights, acts, inputs, preacts, g_out):
     return grads
 
 
-def _enforce(w, c, mask):
-    """Projection onto the layer's ball c and its mask of w, or of every
-    slice of a stack (n, rows, cols) of weights.
-
-    Masking can raise a Schatten norm, so a slice alternates projection and
-    mask until a projection changes nothing; a final uniform scale-down of
-    the slices still changing guarantees strict feasibility when the
-    alternating rounds have not converged, so every candidate the ascent
-    evaluates really is in the class.
-    """
-    if w.ndim == 2:
-        return _enforce(w[None], c, mask)[0]
-    w = w * mask
-    live = np.arange(len(w))
-    for _ in range(8):
-        sub = w[live]
-        out = matlin.project_to_ball(sub, c)
-        # a slice outside the ball always moves, one inside keeps its bits
-        moved = (out != sub).reshape(len(live), -1).any(axis=1)
-        live = live[moved]
-        if not live.size:
-            return w
-        w[live] = out[moved] * mask
-    worst = matlin.matrix_norm(w[live], c.kind) / c.radius
-    w[live] = w[live] / np.where(worst > 1.0, worst, 1.0)[:, None, None]
-    return w
-
-
 def _scale_to_boundary(w, c):
     """Every nonzero slice of the stack w scaled onto the sphere of c."""
     n = matlin.matrix_norm(w, c.kind)
@@ -323,10 +304,10 @@ def sup_ascent(eps, spec: ClassSpec, data: Dataset, restarts: int, steps: int,
     whose weights and layer outputs take about ASCENT_BLOCK_BYTES (one
     trajectory at least), each computed bit for bit as it would be alone, so
     the stacking does not change the result; each ball's unmasked layers go
-    through one :func:`matlin.project_to_ball` call.  A sign vector's result
-    is the first best of its candidates in the order they would be met one
-    restart after another: the zero function, then each restart's steps,
-    flip and refinement.
+    through one :func:`matlin.project_to_ball` call (a masked layer through
+    :func:`matlin.project_masked`).  A sign vector's result is the first
+    best of its candidates in the order they would be met one restart after
+    another: the zero function, then each restart's steps, flip, refinement.
 
     Positive homogeneity of the activations lets the ascent run with each
     ball's radius normalised to 1; the result is rescaled by the radius
@@ -366,7 +347,8 @@ def sup_ascent(eps, spec: ClassSpec, data: Dataset, restarts: int, steps: int,
               for c in balls if c is not None}
 
     def feasible(ws):
-        ws = [w if mk is None else _enforce(w, c, mk) for w, c, mk in zip(ws, balls, masks)]
+        ws = [w if mk is None else matlin.project_masked(w, c, mk)
+              for w, c, mk in zip(ws, balls, masks)]
         for c, js in shared.items():
             for j, w in zip(js, matlin.project_to_ball([ws[j] for j in js], c)):
                 ws[j] = w

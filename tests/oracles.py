@@ -90,13 +90,18 @@ def nearest_in_ball_grid(target: np.ndarray, norm_fn, radius: float,
 
 
 def projection_via_slsqp(v: np.ndarray, norm_fn, radius: float) -> np.ndarray:
-    """Euclidean projection onto {x : norm_fn(x) <= radius} via scipy SLSQP."""
+    """Euclidean projection onto {x : norm_fn(x) <= radius} via scipy SLSQP.
+
+    norm_fn may also return an array, one value per constraint, each of which
+    must stay at most radius: a norm that is the largest of several smooth
+    terms is best given as those terms, which spares SLSQP the max's kinks.
+    """
     from scipy.optimize import minimize
 
     v = np.asarray(v, dtype=np.float64)
     res = minimize(
         lambda x: 0.5 * np.sum((x - v) ** 2),
-        x0=v * min(1.0, radius / max(norm_fn(v), 1e-12)),
+        x0=v * min(1.0, radius / max(np.max(norm_fn(v)), 1e-12)),
         jac=lambda x: x - v,
         constraints=[{"type": "ineq", "fun": lambda x: radius - norm_fn(x)}],
         method="SLSQP",
@@ -229,11 +234,12 @@ def profile_per_layer(net, p: float = 2.0):
 # The constrained ascent, one sign vector and one restart at a time
 # ---------------------------------------------------------------------------
 #
-# This was ``rademacher.sup_ascent`` (with its ``_enforce``,
-# ``_scale_to_boundary``, ``_backward`` and forward loop, and
-# ``matlin.project_to_ball`` and ``matlin.linear_maximizer``) before every
-# sample and restart ran as one stacked ascent, kept verbatim on the 2-D
-# matlin primitives; the stacked ascent must equal it bit for bit.
+# This was ``rademacher.sup_ascent`` (with its ``_scale_to_boundary``,
+# ``_backward`` and forward loop, and ``matlin.project_to_ball`` and
+# ``matlin.linear_maximizer``) before every sample and restart ran as one
+# stacked ascent, kept verbatim on the 2-D matlin primitives; the stacked
+# ascent must equal it bit for bit.  A masked layer takes the exact masked
+# projection one matrix at a time (``enforce_2d``).
 
 def _run_layers_2d(weights, acts, a):
     from capnet.network import activation_batch
@@ -343,18 +349,28 @@ def linear_maximizer_2d(g, c):
 
 
 def enforce_2d(w, c, mask):
-    from capnet.matlin import matrix_norm
+    """The projection of one matrix onto its layer's ball and partial-
+    permutation mask: the masked entries, as a vector, projected onto the
+    l_p ball that the ball is on them (a clip at p = inf) for as long as
+    they lie outside the limit, and zeros off the mask."""
+    from capnet.matlin import _lp_vec_norm, project_lp_ball
 
     if mask is None:
         return project_to_ball_2d(w, c)
-    w = w * mask
-    for _ in range(8):
-        out = project_to_ball_2d(w, c)
-        if out is w:
-            return w
-        w = out * mask
-    worst = matrix_norm(w, c.kind) / c.radius
-    return w / worst if worst > 1.0 else w
+    idx = np.nonzero(mask)
+    e = w[idx]
+    # one entry per row and column: the singular values are the entries' |.|
+    p = {"spectral": math.inf, "frobenius": 2.0, "rows_l2_sum": 1.0,
+         "rows_l1_max": math.inf, "schatten": c.kind.p}[c.kind.tag]
+
+    def norm(v):
+        return float(np.abs(v).max()) if p == math.inf else _lp_vec_norm(np.abs(v), p)
+
+    while e.size and not norm(e) <= c.radius * (1.0 + 1e-12):
+        e = np.clip(e, -c.radius, c.radius) if p == math.inf else project_lp_ball(e, p, c.radius)
+    out = np.zeros_like(w)
+    out[idx] = e
+    return out
 
 
 def _scale_to_boundary_2d(w, c):

@@ -735,3 +735,82 @@ class TestShrinkStack:
                 # every other row with a multiplier stopped on its own test;
                 # the capped one never did and still came out as alone
                 assert stopped_in_stack == [i for i in range(n - 1) if lam[i] != 0.0]
+
+
+def _partial_permutation(rng, rows, cols, k):
+    """A random 0/1 (rows, cols) mask of k entries, at most one per row and
+    per column."""
+    mask = np.zeros((rows, cols))
+    mask[rng.permutation(rows)[:k], rng.permutation(cols)[:k]] = 1.0
+    return mask
+
+
+class TestMaskedProjection:
+    """project_masked onto a ball and a partial-permutation mask, against
+    SLSQP over the masked entries under the ball's own matrix norm, so that
+    the reduction to an l_p ball of the entries is checked with it."""
+
+    # SLSQP's accuracy, which is lowest where the optimum sits on a kink:
+    # of the l1 kind of norms wherever an entry shrinks to 0, and of the
+    # singular values wherever entries meet at the radius
+    SLSQP_ATOL = {"spectral": 5e-4, "rows_l2_sum": 5e-4, "schatten1": 5e-4}
+
+    @pytest.mark.parametrize("kind", NORM_KINDS, ids=kind_id)
+    def test_matches_slsqp(self, kind):
+        rng = np.random.default_rng(5)
+        for rows, cols in ((4, 3), (3, 5), (1, 4), (5, 5)):
+            # k = 0 is the all-zero mask; k < min(rows, cols) leaves rows and
+            # columns empty
+            for k in range(min(rows, cols) + 1):
+                for _ in range(2):
+                    mask = _partial_permutation(rng, rows, cols, k)
+                    w = 2.0 * rng.standard_normal((rows, cols))
+                    c = matlin.BallConstraint(kind, float(rng.uniform(0.3, 1.5)))
+                    out = matlin.project_masked(w, c, mask)
+                    assert not out[mask == 0].any()
+                    if not k:
+                        continue
+                    idx = np.nonzero(mask)
+
+                    def norm(x):
+                        m = np.zeros((rows, cols))
+                        m[idx] = x
+                        # a largest singular value or row norm as all of them
+                        if kind.tag == "spectral":
+                            return matlin.singular_values(m)
+                        if kind.tag == "rows_l1_max":
+                            return np.abs(m).sum(axis=1)
+                        return matlin.matrix_norm(m, kind)
+
+                    ref = projection_via_slsqp(w[idx], norm, c.radius)
+                    ref = ref * min(1.0, c.radius / np.max(norm(ref)))  # scaled into the ball
+                    np.testing.assert_allclose(out[idx], ref,
+                                               atol=self.SLSQP_ATOL.get(kind_id(kind), 1e-6))
+                    # and no farther from w than that feasible point (the
+                    # multiplier's 1e-10 bisection tolerance aside)
+                    assert (np.linalg.norm(out[idx] - w[idx])
+                            <= np.linalg.norm(ref - w[idx]) + 1e-9)
+
+    @pytest.mark.parametrize("kind", NORM_KINDS, ids=kind_id)
+    def test_result_is_feasible_and_zero_off_the_mask(self, kind, rng, monkeypatch):
+        # far outside, the l1 rule overshoots by rounding and its rows are
+        # projected again
+        project, calls = matlin.project_lp_ball, []
+        monkeypatch.setattr(matlin, "project_lp_ball",
+                            lambda *a, **k: calls.append(1) or project(*a, **k))
+        for scale in (0.5, 3.0, 1e3, 1e6):
+            calls.clear()
+            for _ in range(25):
+                rows, cols = (int(n) for n in rng.integers(1, 9, size=2))
+                mask = _partial_permutation(rng, rows, cols,
+                                            int(rng.integers(0, min(rows, cols) + 1)))
+                w = scale * rng.standard_normal((6, rows, cols))
+                c = matlin.BallConstraint(kind, float(rng.uniform(0.1, 3.0)))
+                out = matlin.project_masked(w, c, mask)
+                assert np.all(matlin.matrix_norm(out, kind) <= c.radius * (1 + 1e-12))
+                assert not out[:, mask == 0].any()
+                # every slice of the stack as it comes out alone
+                for wi, oi in zip(w, out):
+                    assert np.array_equal(matlin.project_masked(wi, c, mask), oi)
+            if scale == 1e6 and kind_id(kind) in ("rows_l2_sum", "schatten1"):
+                assert len(calls) > 50  # more than one per project_masked call

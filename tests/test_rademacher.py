@@ -271,7 +271,9 @@ class TestStackedAscent:
                          matlin.BallConstraint(kind, 0.8 * matlin.matrix_norm(l.weight, kind))
                          for j, l in enumerate(net.layers))
 
-        mask = (rng.random((4, 3)) < 0.6).astype(float)
+        # a random partial permutation: two of the three columns, in two random rows
+        mask = np.zeros((4, 3))
+        mask[rng.permutation(4)[:2], rng.permutation(3)[:2]] = 1.0
         classes = [
             rademacher.ClassSpec(relu, balls(relu)),
             rademacher.ClassSpec(mixed, balls(mixed)),
@@ -803,3 +805,39 @@ class TestClassSpecDefaults:
         with pytest.raises(ValueError, match="frozen"):
             rademacher.ClassSpec(template=net, balls=(ball, None),
                                  masks=(None, np.ones((1, 3))))
+
+
+class TestClassSpecMasks:
+    """A mask is a 0/1 partial permutation of its layer's shape; anything
+    else would be broadcast over the layer or would scale it, and the exact
+    masked projection would not hold."""
+
+    @staticmethod
+    def _spec(mask):
+        net = make_net([np.ones((4, 3)), np.ones((1, 4))])
+        ball = matlin.BallConstraint(matlin.schatten(1.5), 1.0)
+        return rademacher.ClassSpec(template=net, balls=(ball, ball), masks=(mask, None))
+
+    @pytest.mark.parametrize("mask", [
+        np.ones((1, 3)),               # broadcast over the rows
+        np.eye(3),
+        np.full((4, 3), 0.5),          # scales the layer
+        -np.eye(4, 3),
+        np.eye(4, 3)[[0, 1, 2, 2]],    # two entries in one column
+        np.eye(3, 4).T[:, [0, 0, 1]],  # two entries in one row
+        np.array(1.0),
+    ], ids=["row", "square", "half", "negative", "two_in_a_column", "two_in_a_row", "scalar"])
+    def test_refused(self, mask):
+        with pytest.raises(ValueError, match=r"layer 0: a mask must be a 0/1 matrix of shape "
+                                             r"\(4, 3\) with at most one 1 per row and per "
+                                             "column"):
+            self._spec(mask)
+
+    def test_partial_permutations_accepted(self):
+        # the empty mask, a permutation of the columns with an empty row, and
+        # a boolean one
+        for mask in (np.zeros((4, 3)), np.eye(4, 3)[[2, 0, 3, 1]], np.eye(4, 3, k=1) > 0):
+            assert self._spec(mask).masks[0] is mask
+        cons, spec = lowerbound.build_diag(h=3, m=6, p=1.5, B=2.0, gamma=0.5,
+                                           budgets=(1.3, 0.7))
+        assert spec.masks[0].tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]]
