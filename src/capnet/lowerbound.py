@@ -37,17 +37,28 @@ def positive_part_dual_norm(c: np.ndarray, p: float) -> np.ndarray:
     """Row-wise ||max(c, 0)||_q for the dual exponent q of p.
 
     This is the exact inner supremum sup_{|w|_p <= 1} sum_k max(0, w_k) c_k.
+    c is not modified, since it may be a shared enumeration block: the
+    positive part of its rows with a positive entry (taken out first only
+    when some row has none) is the one copy, C-ordered, which is scaled and
+    raised to the power q in place.
     """
-    cp = np.maximum(np.atleast_2d(np.asarray(c, dtype=np.float64)), 0.0)
+    c = np.atleast_2d(np.asarray(c, dtype=np.float64))
     q = matlin.dual_exponent(p)
     if math.isinf(q):
-        return cp.max(axis=1)
+        return np.maximum(c, 0.0).max(axis=1)
     if q == 1.0:
-        return cp.sum(axis=1)
-    top = cp.max(axis=1)
+        return np.maximum(c, 0.0).sum(axis=1)
+    top = np.maximum(c.max(axis=1), 0.0)
     out = np.zeros_like(top)
     nz = top > 0
-    out[nz] = top[nz] * ((cp[nz] / top[nz, None]) ** q).sum(axis=1) ** (1.0 / q)
+    if nz.all():
+        cp = np.maximum(c, 0.0, order="C")
+    else:
+        cp = c[nz]
+        np.maximum(cp, 0.0, out=cp)
+    cp /= top[nz, None]
+    cp **= q
+    out[nz] = top[nz] * cp.sum(axis=1) ** (1.0 / q)
     return out
 
 

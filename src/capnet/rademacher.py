@@ -158,13 +158,15 @@ def _count_blocks(n):
     blocks of at most 2^14 rows.  As in :func:`_sign_blocks`, the low digits
     whose radix product fits in 2^14 rows are built once and only the high
     columns change between blocks: a consumer must neither keep nor modify a
-    block."""
+    block.  The low block is filled one column at a time, so that no (rows,
+    h) integer temporaries are made."""
     radix = n + 1
     spans = np.cumprod(radix)
     low = int(np.searchsorted(spans, 1 << SIGN_BLOCK_BITS, side="right"))
     t = np.arange(spans[low - 1] if low else 1, dtype=np.int64)
     block = np.empty((len(t), len(n)))
-    block[:, :low] = 2 * (t[:, None] // (spans[:low] // radix[:low]) % radix[:low]) - n[:low]
+    for k in range(low):
+        block[:, k] = 2 * (t // (spans[k] // radix[k]) % radix[k]) - n[k]
     high_strides = np.cumprod(radix[low:]) // radix[low:]
     for c in range(int(np.prod(radix[low:]))):
         block[:, low:] = 2 * (c // high_strides % radix[low:]) - n[low:]
@@ -367,10 +369,6 @@ def sup_ascent(eps, spec: ClassSpec, data: Dataset, restarts: int, steps: int,
         eps_run = signs[runs // restarts][:, None, :]
         g_out = eps_run[:, 0] / m
 
-        def masked_grads(ws, inputs, preacts, sel):
-            grads = _backward(ws, acts, inputs, preacts, g_out[sel])
-            return [g if mk is None else g * mk for g, mk in zip(grads, masks)]
-
         best_val = np.full(len(runs), -math.inf)
         best_ws = [np.empty((len(runs),) + base_weights[j].shape) if j in trained else None
                    for j in range(len(acts))]
@@ -414,7 +412,9 @@ def sup_ascent(eps, spec: ClassSpec, data: Dataset, restarts: int, steps: int,
         ws = feasible(ws)
 
         for t in range(1, steps + 1):
-            grads = masked_grads(ws, *consider(ws, every)[1:], every)
+            # a masked layer's projection reads only its masked entries, so
+            # its gradient needs no mask here
+            grads = _backward(ws, acts, *consider(ws, every)[1:], g_out)
             lr = 0.1 / math.sqrt(t)
             ws = feasible([w if c is None else w + lr * g for w, g, c in zip(ws, grads, balls)])
         # from here on ws, their objectives val and forward caches hold only
@@ -436,7 +436,8 @@ def sup_ascent(eps, spec: ClassSpec, data: Dataset, restarts: int, steps: int,
         # linearised objective, for as long as that improves the trajectory;
         # exact for single-layer linear classes
         for _ in range(4):
-            grads = masked_grads(ws, *caches, live)
+            grads = [g if mk is None else g * mk
+                     for g, mk in zip(_backward(ws, acts, *caches, g_out[live]), masks)]
             cand = list(ws)
             for j in trained:
                 moved = grads[j].reshape(len(live), -1).any(axis=1)[:, None, None]
@@ -672,13 +673,16 @@ class LipschitzCover:
         return self.signs.shape[0]
 
     def member_values(self) -> np.ndarray:
-        """Values of every member at the grid points, origin-anchored."""
-        widths = np.diff(self.grid)
-        v = np.concatenate(
-            [np.zeros((self.n_members, 1)),
-             np.cumsum(self.signs.astype(np.float64) * widths, axis=1)], axis=1,
-        )
-        return v - self._at_zero(v)[:, None]
+        """Values of every member at the grid points, origin-anchored, as one
+        Fortran-ordered array, so that its transpose (grid points, members)
+        is C-contiguous: each column's running sum and the anchoring are
+        taken in place, the additions in the order of a cumulative sum."""
+        v = np.zeros((self.n_members, len(self.grid)), order="F")
+        np.multiply(self.signs, np.diff(self.grid), out=v[:, 1:])
+        for s in range(2, v.shape[1]):
+            v[:, s] += v[:, s - 1]
+        v -= self._at_zero(v)[:, None]
+        return v
 
     def _at_zero(self, v: np.ndarray) -> np.ndarray:
         i = int(np.clip(np.searchsorted(self.grid, 0.0, side="right") - 1,
@@ -687,15 +691,20 @@ class LipschitzCover:
         t = (0.0 - self.grid[i]) / w if w > 0 else 0.0
         return v[:, i] * (1.0 - t) + v[:, i + 1] * t
 
-    def values_on(self, xs) -> np.ndarray:
-        """(n_members, len(xs)) piecewise-linear member values."""
+    def _segments(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        """For each x, the grid segment it lies on and its fraction of the
+        way along: a member's value there is v[seg] (1 - frac) + v[seg+1] frac."""
         xs = np.asarray(xs, dtype=np.float64)
-        v = self.member_values()
         seg = np.clip(np.searchsorted(self.grid, xs, side="right") - 1,
                       0, len(self.grid) - 2)
         width = np.diff(self.grid)[seg]
-        t = np.where(width > 0, (xs - self.grid[seg]) / width, 0.0)
-        return v[:, seg] * (1.0 - t) + v[:, seg + 1] * t
+        return seg, np.where(width > 0, (xs - self.grid[seg]) / width, 0.0)
+
+    def values_on(self, xs) -> np.ndarray:
+        """(n_members, len(xs)) piecewise-linear member values."""
+        seg, frac = self._segments(xs)
+        v = self.member_values()
+        return v[:, seg] * (1.0 - frac) + v[:, seg + 1] * frac
 
 
 def build_lipschitz_cover(R: float, eps: float) -> LipschitzCover:
@@ -731,13 +740,18 @@ def verify_cover(cover: LipschitzCover, trials: int, seed: int = 0) -> float:
 
     Test functions take random +-1 slopes on the 4x-refined grid; distances
     are exact sups (both sides are piecewise linear on the fine grid), taken
-    as a running max over the grid points of (grid, members) values for 8
-    trials at a time.  Raises if any f is farther than eps from the cover.
+    as a running max over the fine points for 8 trials at a time.  Only the
+    members' values at the grid points are held; at each fine point the
+    members' values are built into one reused row, with the products and sum
+    of :meth:`LipschitzCover.values_on`.  Raises if any f is farther than
+    eps from the cover.
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got trials={trials}")
     fine = _refined_grid(cover.grid, 4)
-    mvals = np.ascontiguousarray(cover.values_on(fine).T)
+    at_grid = cover.member_values().T
+    seg, frac = cover._segments(fine)
+    points = list(zip(seg.tolist(), (1.0 - frac).tolist(), frac.tolist()))
     dx = np.diff(fine)
     fs = np.empty((trials, fine.size))
     for t, gen in enumerate(_index_streams(seed, (), trials)):
@@ -745,10 +759,16 @@ def verify_cover(cover: LipschitzCover, trials: int, seed: int = 0) -> float:
         f = np.concatenate([[0.0], np.cumsum(slopes * dx)])
         fs[t] = f - np.interp(0.0, fine, f)
     worst = 0.0
+    row = np.empty(cover.n_members)
+    dists, gaps = np.empty((2, min(trials, 8), cover.n_members))
     for block in np.split(fs, range(8, trials, 8)):
-        dist, gap = np.zeros((2, len(block), cover.n_members))
-        for j, member_at_j in enumerate(mvals):
-            np.abs(np.subtract(member_at_j, block[:, j, None], out=gap), out=gap)
+        dist, gap = dists[:len(block)], gaps[:len(block)]
+        dist.fill(0.0)
+        for j, (s, left, right) in enumerate(points):
+            # gap[0] holds the right-hand product until the gaps overwrite it
+            np.multiply(at_grid[s], left, out=row)
+            np.add(row, np.multiply(at_grid[s + 1], right, out=gap[0]), out=row)
+            np.abs(np.subtract(row, block[:, j, None], out=gap), out=gap)
             np.maximum(dist, gap, out=dist)
         worst = max(worst, float(dist.min(axis=1).max()))
     if worst > cover.eps * (1.0 + 1e-6):

@@ -1,6 +1,7 @@
 import importlib.util
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,20 @@ def kind_id(kind):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def traced_peak_mib(fn) -> float:
+    """The peak of the memory that tracemalloc sees (numpy reports its
+    arrays to it) while fn runs, over what was held when it started, in MiB;
+    fn runs once before, so that one-time set-up is not counted."""
+    fn()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 def make_net(weights, activations=None, input_dim=None):

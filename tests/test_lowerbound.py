@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from capnet import lowerbound, rademacher
+from conftest import traced_peak_mib
 from oracles import (all_signs, grid_sup_positive_part, mean_abs_sign_sum,
                      sign_mean_by_chunks, sign_values_per_sample)
 
@@ -217,6 +218,13 @@ class TestBucketTable:
         assert sum(rows for rows, _ in shapes) == 1 << 18
         assert got == sign_mean_by_chunks(
             lambda s: lowerbound.positive_part_dual_norm(s @ cons.bucket_matrix(), 2.0), 18)
+
+
+class TestEnumerationMemory:
+    def test_peak_at_h8_m16(self):
+        # h=8, m=16: 3^8 bucket-sum vectors in one block of 0.40 MiB
+        cons, _ = lowerbound.build_diag(8, 16, 2.0, B, GAMMA, BUDGETS)
+        assert traced_peak_mib(lambda: lowerbound.exact_diag_rademacher(cons)) <= 1.5
 
 
 class TestMonteCarloOracle:

@@ -9,7 +9,7 @@ from capnet import cli, lowerbound, matlin, rademacher, verify
 from capnet.errors import VerificationError
 from capnet.network import (Dataset, Layer, Network, dataset_from_obj, network_from_obj,
                             save_dataset, save_network)
-from conftest import NORM_KINDS, kind_id, load_perfbench, make_net, sphere_points
+from conftest import NORM_KINDS, kind_id, load_perfbench, make_net, sphere_points, traced_peak_mib
 from oracles import (all_signs, check_contraction_per_function, enumerate_linear_class_value,
                      mc_values_per_sample, sign_mean_by_chunks, sup_ascent_per_restart,
                      verify_cover_chunked)
@@ -188,6 +188,10 @@ class TestAscentGolden:
 
 
 class TestEnforce:
+    """``matlin.project_to_ball`` as the ascent calls it: one SVD per layer
+    per step, and a feasible result for every kind of single ball.  Masked
+    layers are tested in ``tests/test_matlin.py::TestMaskedProjection``."""
+
     @pytest.mark.parametrize("p", [math.inf, 4.0, 2.0, 1.5, 1.0])
     def test_one_svd_per_layer_per_step(self, p, monkeypatch):
         # the norm check and the projection share one SVD, and the projected
@@ -742,6 +746,11 @@ class TestLipschitzCover:
         # every coarse member reappears in the finer cover
         for row in coarse_vals[:: max(1, len(coarse_vals) // 27)]:
             assert np.abs(fine_vals - row).max(axis=1).min() <= 1e-12
+
+    def test_search_holds_no_member_table_on_the_fine_grid(self):
+        # the 3^8 members' values on the 33 fine points alone take 1.65 MiB
+        cover = rademacher.build_lipschitz_cover(1.0, 0.25)
+        assert traced_peak_mib(lambda: rademacher.verify_cover(cover, trials=200)) <= 1.5
 
     def test_shrinking_eps_never_increases_distance(self):
         coarse = rademacher.build_lipschitz_cover(1.0, 0.5)
