@@ -38,9 +38,8 @@ def positive_part_dual_norm(c: np.ndarray, p: float) -> np.ndarray:
 
     This is the exact inner supremum sup_{|w|_p <= 1} sum_k max(0, w_k) c_k.
     c is not modified, since it may be a shared enumeration block: the
-    positive part of its rows with a positive entry (taken out first only
-    when some row has none) is the one copy, C-ordered, which is scaled and
-    raised to the power q in place.
+    positive part of its rows with a positive entry is the one copy, which
+    is scaled and raised to the power q in place.
     """
     c = np.atleast_2d(np.asarray(c, dtype=np.float64))
     q = matlin.dual_exponent(p)
@@ -51,11 +50,8 @@ def positive_part_dual_norm(c: np.ndarray, p: float) -> np.ndarray:
     top = np.maximum(c.max(axis=1), 0.0)
     out = np.zeros_like(top)
     nz = top > 0
-    if nz.all():
-        cp = np.maximum(c, 0.0, order="C")
-    else:
-        cp = c[nz]
-        np.maximum(cp, 0.0, out=cp)
+    cp = c[nz]
+    np.maximum(cp, 0.0, out=cp)
     cp /= top[nz, None]
     cp **= q
     out[nz] = top[nz] * cp.sum(axis=1) ** (1.0 / q)

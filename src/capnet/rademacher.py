@@ -673,16 +673,13 @@ class LipschitzCover:
         return self.signs.shape[0]
 
     def member_values(self) -> np.ndarray:
-        """Values of every member at the grid points, origin-anchored, as one
-        Fortran-ordered array, so that its transpose (grid points, members)
-        is C-contiguous: each column's running sum and the anchoring are
-        taken in place, the additions in the order of a cumulative sum."""
-        v = np.zeros((self.n_members, len(self.grid)), order="F")
-        np.multiply(self.signs, np.diff(self.grid), out=v[:, 1:])
-        for s in range(2, v.shape[1]):
-            v[:, s] += v[:, s - 1]
-        v -= self._at_zero(v)[:, None]
-        return v
+        """Values of every member at the grid points, origin-anchored."""
+        widths = np.diff(self.grid)
+        v = np.concatenate(
+            [np.zeros((self.n_members, 1)),
+             np.cumsum(self.signs.astype(np.float64) * widths, axis=1)], axis=1,
+        )
+        return v - self._at_zero(v)[:, None]
 
     def _at_zero(self, v: np.ndarray) -> np.ndarray:
         i = int(np.clip(np.searchsorted(self.grid, 0.0, side="right") - 1,
@@ -749,7 +746,7 @@ def verify_cover(cover: LipschitzCover, trials: int, seed: int = 0) -> float:
     if trials < 1:
         raise ValueError(f"need trials >= 1, got trials={trials}")
     fine = _refined_grid(cover.grid, 4)
-    at_grid = cover.member_values().T
+    at_grid = np.ascontiguousarray(cover.member_values().T)
     seg, frac = cover._segments(fine)
     points = list(zip(seg.tolist(), (1.0 - frac).tolist(), frac.tolist()))
     dx = np.diff(fine)

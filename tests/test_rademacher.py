@@ -748,7 +748,9 @@ class TestLipschitzCover:
             assert np.abs(fine_vals - row).max(axis=1).min() <= 1e-12
 
     def test_search_holds_no_member_table_on_the_fine_grid(self):
-        # the 3^8 members' values on the 33 fine points alone take 1.65 MiB
+        # the 3^8 members' values on the 33 fine points alone take 1.65 MiB;
+        # the search's own arrays (values at the 9 grid points, two 8-trial
+        # block buffers, one member row, the trials) take 1.35 MiB
         cover = rademacher.build_lipschitz_cover(1.0, 0.25)
         assert traced_peak_mib(lambda: rademacher.verify_cover(cover, trials=200)) <= 1.5
 
