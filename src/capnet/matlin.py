@@ -354,20 +354,11 @@ def _lp_slope(x: np.ndarray, p: float, lam: np.ndarray, phi: np.ndarray) -> np.n
 
     Uses the implicit derivative dx/dlam = -p x^(p-1) / (1 + lam p (p-1) x^(p-2)),
     written as -p x / (x^(2-p) + lam p (p-1)) so that no power overflows, and
-    sums each row over its positive entries alone.
+    sums each row over its positive entries alone; its bits steer only lam*.
     """
-    pos = x > 0.0
     with np.errstate(all="ignore"):
         dx = p * x / (x ** (2.0 - p) + lam[:, None] * p * (p - 1.0))
-        terms = np.where(pos, (x / phi[:, None]) ** (p - 1.0) * dx, 0.0)
-    if x.shape[1] < 8:  # numpy sums fewer than 8 terms in order, where a zero changes nothing
-        return terms.sum(axis=1)
-    # its pairwise sum of more depends on their count: sum rows of equal count together
-    counts, out = pos.sum(axis=1), np.zeros(len(x))
-    for c in np.unique(counts[counts > 0]):
-        rows = counts == c
-        out[rows] = terms[rows][pos[rows]].reshape(-1, c).sum(axis=1)
-    return out
+        return np.where(x > 0.0, (x / phi[:, None]) ** (p - 1.0) * dx, 0.0).sum(axis=1)
 
 
 def _lp_multiplier(a: np.ndarray, p: float, radius: float):

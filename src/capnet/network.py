@@ -72,9 +72,9 @@ def _hashed_words() -> type:
     """The ISeedSequence that hands PCG64 one index's 4 hashed uint64 words, built
     on first use so that importing capnet leaves numpy.random unimported."""
 
+    @dataclass
     class HashedWords(np.random.bit_generator.ISeedSequence):
-        def __init__(self, words: np.ndarray):
-            self.words = words
+        words: np.ndarray
 
         def generate_state(self, n_words, dtype=np.uint32):
             return self.words
@@ -124,12 +124,15 @@ def _index_words(seed: int, key: tuple[int, ...], count: int) -> np.ndarray:
     return words
 
 
+def _seeded(words: np.ndarray) -> np.random.Generator:
+    """numpy's generator on the PCG64 numpy seeds with one row of ``_index_words``."""
+    return np.random.Generator(np.random.PCG64(_hashed_words()(words)))
+
+
 def _index_streams(seed: int, key: tuple[int, ...], count: int):
-    """Yield, for i < count, a generator in the state of ``_rng(seed, *key, i)``:
-    numpy's PCG64 seeded with row i of ``_index_words``."""
-    seeded, gen, bits = _hashed_words(), np.random.Generator, np.random.PCG64
-    for words in _index_words(seed, key, count):
-        yield gen(bits(seeded(words)))
+    """An iterator of generators, for i < count, in the states of
+    ``_rng(seed, *key, i)``: ``_seeded`` on row i of ``_index_words``."""
+    return map(_seeded, _index_words(seed, key, count))
 
 
 # numpy's PCG64 (numpy/random/src/pcg64): a 128-bit LCG with XSL-RR output,
@@ -146,12 +149,6 @@ _SPHERE_BLOCK_WORDS = 1 << 16
 # 1.5% of draws leave the ziggurat fast path, so more points are drawn twice
 # (a quarter at dimension 20) while the vectorised words cost more per point
 _FAST_NORMALS_MAX_DIM = 16
-
-
-def _halves(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The high and low uint64 halves of 128-bit integers."""
-    return (np.array([v >> 64 for v in values], dtype=np.uint64),
-            np.array([v & (1 << 64) - 1 for v in values], dtype=np.uint64))
 
 
 def _mul128(hi, lo, c_hi, c_lo):
@@ -174,26 +171,19 @@ def _pcg64_raw(words: np.ndarray, n: int) -> np.ndarray:
     each row of ``words`` (initial state words 0-1, stream words 2-3, high
     half first), as ``random_raw(n)`` gives them.
 
-    Seeding steps the LCG s -> M*s + inc from 0, adds the state words u and
-    steps again; output j steps once more and takes XSL-RR of the state.  So
-    output j (from 1) reads s = M**(j+1) * (u + inc) + (M**j + ... + 1) * inc,
-    every output of every stream reached in one jump.
+    Seeding sets s = M*(u + inc) + inc for the state words u; each output
+    steps the LCG s -> M*s + inc once and takes XSL-RR of the state.
     """
-    mult, pows, sums = _PCG_MULT, [], []
-    power, total = mult, 1
-    for _ in range(n):
-        total = (total + power) % (1 << 128)
-        power = power * mult % (1 << 128)
-        pows.append(power)
-        sums.append(total)
-    a_hi, a_lo = _halves(pows)
-    c_hi, c_lo = _halves(sums)
-    w = words[:, :, None]
-    inc_hi, inc_lo = w[:, 2] << _ONE | w[:, 3] >> _LOW63, w[:, 3] << _ONE | _ONE
-    s_hi, s_lo = _add128(*_mul128(*_add128(w[:, 0], w[:, 1], inc_hi, inc_lo), a_hi, a_lo),
-                         *_mul128(inc_hi, inc_lo, c_hi, c_lo))
-    x, rot = s_hi ^ s_lo, s_hi >> _ROT
-    return x >> rot | x << (_N64 - rot & _LOW63)
+    m_hi, m_lo = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & (1 << 64) - 1)
+    inc_hi, inc_lo = words[:, 2] << _ONE | words[:, 3] >> _LOW63, words[:, 3] << _ONE | _ONE
+    s_hi, s_lo = _add128(*_mul128(*_add128(words[:, 0], words[:, 1], inc_hi, inc_lo), m_hi, m_lo),
+                         inc_hi, inc_lo)
+    out = np.empty((len(words), n), dtype=np.uint64)
+    for col in out.T:
+        s_hi, s_lo = _add128(*_mul128(s_hi, s_lo, m_hi, m_lo), inc_hi, inc_lo)
+        x, rot = s_hi ^ s_lo, s_hi >> _ROT
+        col[:] = x >> rot | x << (_N64 - rot & _LOW63)
+    return out
 
 
 @functools.cache
@@ -248,13 +238,13 @@ def _fast_normals(words: np.ndarray, out: np.ndarray) -> None:
     Raises NumericalError if index 0's raw words, or the normals of the first
     point that takes the fast path, are not numpy's.
     """
-    seeded, gen, bits = _hashed_words(), np.random.Generator, np.random.PCG64
     count, dim = out.shape
     block, checked = max(1, _SPHERE_BLOCK_WORDS // dim), False
     for start in range(0, count, block):
         seeds, rows = words[start:start + block], out[start:start + block]
         raw = _pcg64_raw(seeds, dim)
-        if start == 0 and not np.array_equal(raw[0], bits(seeded(seeds[0])).random_raw(dim)):
+        if start == 0 and not np.array_equal(
+                raw[0], _seeded(seeds[0]).bit_generator.random_raw(dim)):
             raise NumericalError(f"raw words differ from numpy {np.__version__}'s PCG64")
         wi, bound = _ziggurat()  # after the check: never probe a PCG64 that differs
         # numpy's ziggurat word: layer in bits 0-7, sign in bit 8, rabs in bits 9-60
@@ -264,12 +254,12 @@ def _fast_normals(words: np.ndarray, out: np.ndarray) -> None:
         fast = (rabs < bound[idx]).all(axis=1)
         if not checked and fast.any():
             j = int(fast.argmax())
-            if not np.array_equal(rows[j], gen(bits(seeded(seeds[j]))).standard_normal(dim)):
+            if not np.array_equal(rows[j], _seeded(seeds[j]).standard_normal(dim)):
                 raise NumericalError(
                     f"normals differ from numpy {np.__version__}'s standard_normal")
             checked = True
         for i in np.flatnonzero(~fast):
-            gen(bits(seeded(seeds[i]))).standard_normal(out=rows[i])
+            _seeded(seeds[i]).standard_normal(out=rows[i])
 
 
 def sphere_points(dim: int, count: int, seed: int, key: tuple[int, ...] = ()) -> np.ndarray:
@@ -290,9 +280,8 @@ def sphere_points(dim: int, count: int, seed: int, key: tuple[int, ...] = ()) ->
     if dim <= _FAST_NORMALS_MAX_DIM:
         _fast_normals(words, pts)
     else:
-        seeded, gen, bits = _hashed_words(), np.random.Generator, np.random.PCG64
         for row, w in zip(pts, words):
-            gen(bits(seeded(w))).standard_normal(out=row)
+            _seeded(w).standard_normal(out=row)
     # each row's ddot, as np.linalg.norm takes it; a summed square can differ by 1 ulp
     norm = np.sqrt((pts[:, None, :] @ pts[:, :, None])[:, 0, 0])
     zero = norm == 0

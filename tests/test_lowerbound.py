@@ -157,6 +157,19 @@ class TestDemonstration:
                 assert 0.6 <= scalar_ratio <= 1.0
                 assert row["scalar_value"] >= row["diag_value"]
 
+    def test_scalar_chain_evaluated_once_per_m(self, monkeypatch):
+        # the chain depends on m alone among the grid's axes
+        real, calls = lowerbound.exact_scalar_chain_rademacher, []
+        monkeypatch.setattr(lowerbound, "exact_scalar_chain_rademacher",
+                            lambda cons, *args: calls.append(cons.m) or real(cons, *args))
+        rows = lowerbound.demonstrate_lower_bound(
+            h_grid=(2, 4, 8), m_grid=(8, 16), p_grid=(1.0, 2.0, math.inf))
+        assert calls == [8, 16]
+        for row in rows:
+            chain = lowerbound.ScalarChainConstruction(m=row["m"], B=1.0, gamma=1.0,
+                                                       budgets=(1.0, 1.0))
+            assert row["scalar_value"] == real(chain).value
+
     def test_b_homogeneity(self):
         a = lowerbound.demonstrate_lower_bound((2,), (8,), (2.0,), B=1.0)
         b = lowerbound.demonstrate_lower_bound((2,), (8,), (2.0,), B=2.0)
