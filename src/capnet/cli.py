@@ -370,9 +370,6 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"capnet: missing file: {exc.filename}", file=sys.stderr)
         return 2
-    except (ParseError, ShapeError) as exc:
-        print(f"capnet: {exc}", file=sys.stderr)
-        return 2
     except VerificationError as exc:
         print(f"capnet: verification failed: {exc}", file=sys.stderr)
         return 3

@@ -445,9 +445,9 @@ def project_lp_ball(v, p: float, radius: float, norms=None) -> np.ndarray:
     inside.  Outside the band the test is monotone in lam, so one wrong
     answer shows at one of the two ends; the bisection then runs again with
     every step evaluated.  Either way the result is the evaluated
-    bisection's, bit for bit.  The rows of a stack bisect together: each
-    round evaluates the shrinks that all rows still waiting on one need in
-    a single pass, and every row gets the bits of its projection alone.
+    bisection's, bit for bit.  Each row of a stack bisects alone, one
+    evaluated shrink at a time; the rows share the multiplier solve and the
+    end check, and every row gets the bits of its projection alone.
 
     When the multiplier overflows (large p, radius far below |v|) the
     shrink comes out nan; the problem for v / radius on the unit ball, whose
@@ -473,46 +473,30 @@ def _project_lp(v: np.ndarray, p: float, radius: float, norms=None) -> np.ndarra
     a = a[todo]
     tops = a.max(axis=1).tolist()
 
-    def outside(rows, lam):
-        return _lp_row_norms(_lp_shrink(a[rows], p, lam), p) > radius
-
-    def bisect(top, star, band):
-        # one row's bisection; a step within the band yields its multiplier and
-        # is sent whether the shrink there lies outside the ball
-        lo, hi = 0.0, top / p
+    def bisect(i, star, band):
+        # row i's bisection: a step within the band around lam* evaluates whether
+        # the shrink there lies outside the ball, any other step answers by its
+        # side of lam*
+        lo, hi = 0.0, tops[i] / p
+        row = a[i:i + 1]
         # the textbook bracket max(a)/p can undershoot for p > 1; widen until feasible
-        while (yield hi) if abs(hi - star) <= band else hi < star:
+        while (_lp_row_norms(_lp_shrink(row, p, np.array([hi])), p)[0] > radius
+               if abs(hi - star) <= band else hi < star):
             hi *= 2.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if (yield mid) if abs(mid - star) <= band else mid < star:
+            if (_lp_row_norms(_lp_shrink(row, p, np.array([mid])), p)[0] > radius
+                    if abs(mid - star) <= band else mid < star):
                 lo = mid
             else:
                 hi = mid
-            if hi - lo <= 1e-10 * max(1.0, hi):
+            if hi - lo <= 1e-10 * (hi if hi > 1.0 else 1.0):
                 break
         return lo, hi
 
-    def run(rows, bisections):
-        # step the bisections of the rows together: each round evaluates the
-        # multipliers that the unfinished ones wait on in one pass
-        ends, answers = [None] * len(rows), dict.fromkeys(range(len(rows)))
-        while answers:
-            asked = {}
-            for i, answer in answers.items():
-                try:
-                    asked[i] = bisections[i].send(answer)
-                except StopIteration as stop:
-                    ends[i] = stop.value
-            if not asked:
-                break
-            hits = outside(rows[list(asked)], np.array(list(asked.values())))
-            answers = dict(zip(asked, hits.tolist()))
-        return np.array(ends).T
-
     # (a nan lam* answers every step "inside" and is judged by the same check)
     star, band = (np.ravel(s).tolist() for s in _lp_multiplier(a, p, radius))
-    lo, hi = run(np.arange(len(a)), [bisect(*b) for b in zip(tops, star, band)])
+    lo, hi = np.array([bisect(i, s, b) for i, (s, b) in enumerate(zip(star, band))]).T
     # the shrinks at every bracket's top and at the bottoms above 0, in one pass
     up = np.flatnonzero(lo != 0.0)
     x = _lp_shrink(np.concatenate([a, a[up]]), p, np.concatenate([hi, lo[up]]))
@@ -521,7 +505,7 @@ def _project_lp(v: np.ndarray, p: float, radius: float, norms=None) -> np.ndarra
     ok[up] &= ends[len(todo):] > radius
     redo = np.flatnonzero(~ok)
     if redo.size:
-        hi = run(redo, [bisect(tops[i], 0.0, math.inf) for i in redo])[1]
+        hi = np.array([bisect(i, 0.0, math.inf)[1] for i in redo])
         x[redo] = _lp_shrink(a[redo], p, hi)
     out[todo] = np.sign(v[todo]) * x
     nan = todo[~np.isfinite(x).all(axis=1)]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matlin
-from .errors import VerificationError
+from .errors import NumericalError, VerificationError
 from .network import (ELEMENTWISE_TAGS, Dataset, Network, _index_streams, _rng,
                       _run_layers)
 
@@ -495,10 +495,15 @@ def mc_rademacher(spec: ClassSpec, data: Dataset, epsilon_samples: int,
     not change the result.  Lower-biased for the true complexity (the inner
     sup is under-estimated).  A per-sample value above the class's cap
     (:func:`_value_cap`, 1e-9 relative) can only come from an infeasible
-    candidate and raises VerificationError.
+    candidate and raises VerificationError; a cap that overflows would pass
+    every value and raises NumericalError before the ascent.
     """
     if epsilon_samples < 2:
         raise ValueError("need at least 2 epsilon samples")
+    cap = _value_cap(spec, data)
+    if not math.isfinite(cap):
+        raise NumericalError(f"the class's value cap overflowed ({cap}), so the ascent's "
+                             "values could not be checked against it")
     signs = np.array([_rng(seed, i, 0).choice([-1.0, 1.0], size=data.m)
                       for i in range(epsilon_samples)])
     seeds = [int(np.random.SeedSequence(entropy=seed, spawn_key=(i, 1)).generate_state(1)[0])
@@ -509,7 +514,6 @@ def mc_rademacher(spec: ClassSpec, data: Dataset, epsilon_samples: int,
         sup_ascent(signs[b:b + block], spec, data, restarts=restarts, steps=steps,
                    seed=seeds[b:b + block])[0]
         for b in range(0, epsilon_samples, block)])
-    cap = _value_cap(spec, data)
     worst = float(vals.max())
     if worst > cap * (1.0 + 1e-9):
         raise VerificationError(f"ascent value {worst} exceeds the class's cap {cap}: "

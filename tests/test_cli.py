@@ -13,7 +13,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from capnet import bounds, matlin, verify
+from capnet import bounds, matlin, rademacher, verify
 from capnet.cli import build_parser, main
 from capnet.network import (Dataset, load_network, profile, save_dataset,
                             save_network)
@@ -187,6 +187,37 @@ class TestRademacherCmd:
         code, _, err = run(["rademacher", "--network", net_path,
                             "--data", data_path, "--samples", "2"], capsys)
         assert code == 2 and "scalar" in err
+
+
+class TestOverflowingValueCap:
+    """A value cap that overflows could pass any ascent value, so the ascent
+    is refused as a numerical failure (exit 4) before it runs."""
+
+    @pytest.mark.parametrize("scale, code", [(1e200, 4), (1e150, 0)])
+    def test_rademacher(self, scale, code, inputs, capsys, tmp_path, rng, monkeypatch):
+        _, _, _, data = inputs
+        data_path = tmp_path / "scaled.json"
+        save_dataset(Dataset(points=scale * data.points), str(data_path))
+        net_path = tmp_path / "scalar.json"
+        save_network(make_net([rng.standard_normal((2, 2)), rng.standard_normal((1, 2))]),
+                     str(net_path))
+        if code:
+            monkeypatch.setattr(rademacher, "sup_ascent", lambda *a, **k: pytest.fail("ran"))
+        with np.errstate(over="ignore"):
+            got, stdout, err = run(["rademacher", "--network", str(net_path), "--data",
+                                    str(data_path), "--samples", "2", "--restarts", "1",
+                                    "--steps", "2"], capsys)
+        assert got == code
+        if code:
+            assert "value cap overflowed" in err and stdout == ""
+        else:
+            assert math.isfinite(float(re.search(r"std_error: (\S+)", stdout)[1]))
+
+    def test_sweep(self, capsys):
+        with np.errstate(over="ignore"):
+            code, stdout, err = run(["sweep", "--B", "1e308", "--samples", "2", "--restarts",
+                                     "1", "--steps", "1", "--depths", "2"], capsys)
+        assert code == 4 and "value cap overflowed" in err and stdout == ""
 
 
 class TestLowerboundCmd:

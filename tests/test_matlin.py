@@ -402,7 +402,7 @@ class TestReplayedLpProjection:
                 seen["zeros_k8"] += row.size >= 8 and not row.all() and norm > radius
         assert min(seen.values()) >= 25, seen
 
-    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("p", [1.01, 1.5, 2.0, 3.0, 64.0])
     def test_wrong_multiplier_for_some_rows_falls_back_for_those(self, monkeypatch, p):
         # a multiplier off by far more than its band for every other row of a
         # stack: those rows evaluate their whole bisection again, the others
