@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -102,7 +103,11 @@ _FLAGS = {
 }
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The capnet argument parser, built on the first call and shared by
+    every later one: parsing leaves it unchanged, and no command writes to
+    the default lists that its namespaces share."""
     parser = _Parser(prog="capnet", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

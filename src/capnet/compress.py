@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matlin
-from .errors import DegenerateLayerError, VerificationError
-from .network import (Layer, Network, NormProfile, _run_layers, activation_batch,
+from .errors import DegenerateLayerError, NumericalError, VerificationError
+from .network import (Layer, Network, NormProfile, _row_norms, _run_layers, activation_batch,
                       forward_batch, lipschitz_product, override_products, profile,
                       sphere_points)
 
@@ -96,7 +96,8 @@ def rank1_replace(net: Network, p: float, r: int, B: float,
 
     Gamma and M default to the network's actual norm products; overrides
     let callers certify against looser external budgets and must be finite
-    and > 0, as B must be finite and >= 0.
+    and > 0, as B must be finite and >= 0.  A bound that overflows (inf or
+    nan) certifies nothing and raises :class:`NumericalError`.
     """
     matlin._check_schatten_p(p)
     _check_radius(B)
@@ -125,6 +126,10 @@ def rank1_replace(net: Network, p: float, r: int, B: float,
         lemma_bound = B * gamma_prod  # ||W - 0|| / ||W|| = 1
         degenerate = True
 
+    if not (math.isfinite(lemma_bound) and math.isfinite(theorem_bound)):
+        raise NumericalError(f"certificate bounds overflowed at B={B}: lemma bound "
+                             f"{lemma_bound}, theorem bound {theorem_bound}")
+
     layers = list(net.layers)
     layers[r_prime - 1] = Layer(weight=approx, activation=layers[r_prime - 1].activation)
     compressed = Network(layers=tuple(layers), input_dim=net.input_dim)
@@ -148,15 +153,23 @@ def verify_certificate(net: Network, compressed: Network, cert: CompressionCerti
     Points are drawn uniformly on the radius-B sphere with per-point seeds
     derived from (seed, index), plus the deterministic extremes +-B times
     each right-singular direction of the first layer.  The observed maximum
-    is a lower bound on the true sup, so exceeding either certified bound
-    (at 1e-6 relative tolerance), or a nan on either side, is a hard failure.
+    is a lower bound on the true sup, so a finite deviation above either
+    certified bound (at 1e-6 relative tolerance), or a nan bound, raises
+    :class:`VerificationError`.  A forward pass or a deviation that
+    overflowed (inf or nan) measures nothing and raises
+    :class:`NumericalError`; neither case ever passes.
     """
     _check_radius(B)
     right = matlin.svd(net.layers[0].weight).right
     extremes = [sign * B * right[:, k] for k in range(right.shape[1]) for sign in (1.0, -1.0)]
     x = np.vstack([B * sphere_points(net.input_dim, samples, seed)] + extremes)
-    diff = forward_batch(net, x) - forward_batch(compressed, x)
-    observed = float(np.sqrt((diff * diff).sum(axis=1)).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = forward_batch(net, x) - forward_batch(compressed, x)
+    # an entry that overflowed in either forward pass or in diff makes its
+    # row's norm nan, and the max nan
+    observed = float(_row_norms(diff).max())
+    if not math.isfinite(observed):
+        raise NumericalError(f"the sampled deviation overflowed at B={B}")
     for name, bound in (("lemma", cert.lemma_bound), ("theorem", cert.theorem_bound)):
         if not observed <= bound * (1.0 + 1e-6):
             raise VerificationError(

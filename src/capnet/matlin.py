@@ -530,7 +530,9 @@ def project_to_ball(w, c: BallConstraint):
 
     A list of matrices and stacks returns the list of their projections,
     each with the bits of its own call; a Schatten ball takes one SVD per
-    entry and projects the singular values of all entries together.
+    entry and projects the singular values of all entries together, a
+    spectral ball reads each slice's norm off its first singular value and
+    clips the singular values at the radius.
     """
     many = isinstance(w, list)
     ws = [np.asarray(x, float) for x in (w if many else [w])]  # svd or matrix_norm validates
@@ -568,8 +570,11 @@ def _project(ws: list, c: BallConstraint) -> list:
     limit = c.radius * (1.0 + 1e-12)
     if kind.tag in ("spectral", "schatten"):
         rs = [svd(w) for w in ws]
+        # a spectral ball clips the singular values, which LAPACK returns
+        # non-increasing, and a clip cannot overshoot
         svs = (_project_singular([r.singular for r in rs], c, limit) if kind.tag == "schatten"
-               else [_project_rows(r.singular, math.inf, c.radius, limit) for r in rs])  # a clip
+               else [(np.minimum(r.singular, c.radius), ~(r.singular[:, 0] <= limit), None)
+                     for r in rs])
     outs = []
     for i, w in enumerate(ws):
         if kind.tag in ("spectral", "schatten"):
@@ -585,7 +590,7 @@ def _project(ws: list, c: BallConstraint) -> list:
         if kind.tag in ("spectral", "schatten"):
             r = rs[i]
             proj = (r.left[pick] * s[pick][:, None, :]) @ r.right[pick].swapaxes(-1, -2)
-            again = again[pick]
+            again = None if again is None else again[pick]
         else:
             v = w[pick]
             if kind.tag == "frobenius":
@@ -600,7 +605,7 @@ def _project(ws: list, c: BallConstraint) -> list:
             again = ~(matrix_norm(proj, kind) <= limit)
         # the l1-type projections (Schatten-1 and the row norms) overshoot by about
         # size * eps times the input's norm, which far outside exceeds the limit
-        if again.any():
+        if again is not None and again.any():
             proj[again] = _project([proj[again]], c)[0][0]
         out = proj if every else w.copy()
         if not every:
@@ -619,17 +624,18 @@ def _project_singular(svs: list, c: BallConstraint, limit: float) -> list:
     """
     groups = {}
     for i, sv in enumerate(svs):
-        k = sv.shape[1]
-        groups.setdefault(k if k >= 8 else 0, []).append(i)
+        groups.setdefault(sv.shape[1] if sv.shape[1] >= 8 else 0, []).append(i)
     out = [None] * len(svs)
     for members in groups.values():
-        ends = np.cumsum([len(svs[i]) for i in members])
-        s = np.zeros((ends[-1], max(svs[i].shape[1] for i in members)))
-        for i, end in zip(members, ends):
-            s[end - len(svs[i]):end, :svs[i].shape[1]] = svs[i]
+        spans, end = [], 0  # each member's rows, in Python ints
+        for i in members:
+            spans.append(slice(end, end + len(svs[i])))
+            end += len(svs[i])
+        s = np.zeros((end, max(svs[i].shape[1] for i in members)))
+        for i, rows in zip(members, spans):
+            s[rows, :svs[i].shape[1]] = svs[i]
         s, outside, again = _project_rows(s, c.kind.p, c.radius, limit)
-        for i, end in zip(members, ends):
-            rows = slice(end - len(svs[i]), end)
+        for i, rows in zip(members, spans):
             out[i] = s[rows, :svs[i].shape[1]], outside[rows], again[rows]
     return out
 
@@ -642,12 +648,13 @@ def _project_rows(s: np.ndarray, p: float, radius: float, limit: float):
     norms = a.max(axis=1) if p == math.inf else _lp_row_norms(a, p)
     outside = ~(norms <= limit)
     s, again = s.copy(), np.zeros(len(s), dtype=bool)
+    pick = slice(None) if outside.all() else outside
     if p == math.inf:
-        s[outside] = np.clip(s[outside], -radius, radius)
+        s[pick] = np.clip(s[pick], -radius, radius)
     elif outside.any():
-        s[outside] = t = project_lp_ball(s[outside], p, radius, norms[outside])
+        s[pick] = t = project_lp_ball(s[pick], p, radius, norms[pick])
         if p == 1.0:
-            again[outside] = ~(_lp_row_norms(np.abs(t), p) <= limit)
+            again[pick] = ~(_lp_row_norms(np.abs(t), p) <= limit)
     return s, outside, again
 
 

@@ -494,6 +494,22 @@ def profile(net: Network, p: float = 2.0) -> NormProfile:
                        degenerate=degenerate)
 
 
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of every row of the 2-D array a, as
+    ``np.sqrt((a * a).sum(axis=1))``; a row whose squares overflow (entries
+    above about 1e154) is summed again divided by its largest |entry|, so
+    its norm is inf only when it exceeds the largest float (nan for a row
+    with a nan or an infinite entry)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt((a * a).sum(axis=1))
+        big = np.flatnonzero(norms == math.inf)
+        if big.size:
+            top = np.abs(a[big]).max(axis=1)
+            scaled = a[big] / top[:, None]
+            norms[big] = top * np.sqrt((scaled * scaled).sum(axis=1))
+    return norms
+
+
 @dataclass(frozen=True)
 class Dataset:
     """A finite sample of equal-dimension points; radius is the largest norm."""
@@ -518,7 +534,7 @@ class Dataset:
 
     @property
     def radius(self) -> float:
-        return float(np.sqrt((self.points * self.points).sum(axis=1)).max())
+        return float(_row_norms(self.points).max())
 
 
 # ---------------------------------------------------------------------------

@@ -378,10 +378,11 @@ def sup_ascent(eps, spec: ClassSpec, data: Dataset, restarts: int, steps: int,
             kept per trajectory as its best where they beat it, with the
             layer inputs and pre-activations of the forward pass."""
             y, inputs, preacts = _run_layers(ws, acts, x)
-            v = (eps_run[sel] @ y)[:, 0, 0] / m
+            full = len(sel) == len(every)
+            v = ((eps_run if full else eps_run[sel]) @ y)[:, 0, 0] / m
             won = v > best_val[sel]
             # weight arrays are never written once built, so a best may be ws itself
-            if len(sel) == len(every) and won.all():
+            if full and won.all():
                 best_val[:] = v
                 for j in trained:
                     best_ws[j] = ws[j]

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from capnet import bounds, matlin, rademacher, verify
 from capnet.cli import build_parser, main
 from capnet.network import (Dataset, load_network, profile, save_dataset,
                             save_network)
-from conftest import make_net
+from conftest import load_perfbench, make_net
 
 
 @pytest.fixture
@@ -218,6 +219,51 @@ class TestOverflowingValueCap:
             code, stdout, err = run(["sweep", "--B", "1e308", "--samples", "2", "--restarts",
                                      "1", "--steps", "1", "--depths", "2"], capsys)
         assert code == 4 and "value cap overflowed" in err and stdout == ""
+
+
+class TestOverflowingCertificate:
+    """A certificate whose bounds or sampled deviation overflow certifies
+    nothing: a numerical failure (exit 4), not a verification failure."""
+
+    @pytest.fixture
+    def bench_inputs(self, tmp_path):
+        net, data, _ = load_perfbench("inputs").generate(0)
+        (tmp_path / "net.json").write_text(json.dumps(net))
+        return str(tmp_path / "net.json"), np.array(data["points"])
+
+    @pytest.mark.parametrize("B, code", [("1e308", 4), ("1e150", 0)])
+    def test_compress_radius(self, B, code, bench_inputs, capsys):
+        # at 1e308 the deviation came out nan and exited 3 ("exceeds lemma bound inf")
+        got, stdout, err = run(["compress", "--B", B, "--r", "1", "--network",
+                                bench_inputs[0]], capsys)
+        assert got == code
+        if code:
+            assert "numerical failure: certificate bounds overflowed" in err and stdout == ""
+        else:
+            assert math.isfinite(float(re.search(r"observed_deviation=(\S+)", stdout)[1]))
+
+    def test_compress_data_whose_squares_overflow(self, bench_inputs, capsys, tmp_path):
+        # the radius of these points was inf: exit 2, "domain radius B must be finite"
+        net_path, points = bench_inputs
+        got = []
+        for scale in (1.0, 1e200):
+            path = tmp_path / f"data-{scale:g}.json"
+            save_dataset(Dataset(points=scale * points), str(path))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, stdout, err = run(["compress", "--r", "1", "--network", net_path,
+                                         "--data", str(path)], capsys)
+            assert code == 0 and err == ""
+            got.append(dict(re.findall(r"(\w+)=(\S+)", stdout)))
+        assert got[1]["degenerate_zero"] == "true" and stdout.startswith("replaced layer 1 of 4")
+        # every number scales with the points, and nothing else moves
+        scaled = ("B", "lemma_bound", "theorem_bound", "observed_deviation")
+        for key, value in got[0].items():
+            if key in scaled:
+                assert float(got[1][key]) == pytest.approx(1e200 * float(value), rel=1e-12)
+            else:
+                assert got[1][key] == value
+        assert set(got[1]) == set(got[0]) >= set(scaled)
 
 
 class TestLowerboundCmd:
@@ -670,3 +716,28 @@ class TestSamplesAsGiven:
                 "lowerbound": [], "sweep": []}
         got = {cmd: parser.parse_args([cmd] + rest).samples for cmd, rest in base.items()}
         assert got == {"compress": 1000, "rademacher": 32, "lowerbound": 0, "sweep": 0}
+
+
+class TestOneParserPerProcess:
+    """main builds the parser on its first call and every later command in
+    the process parses with that one parser, whose default lists its
+    commands share."""
+
+    def test_commands_in_one_process(self, inputs, capsys, tmp_path, rng):
+        _, data_path, _, _ = inputs
+        net_path = tmp_path / "scalar.json"
+        save_network(make_net([rng.standard_normal((2, 2)), rng.standard_normal((1, 2))]),
+                     str(net_path))
+        argvs = [["sweep"], ["lowerbound"],
+                 ["rademacher", "--network", str(net_path), "--data", data_path,
+                  "--samples", "2", "--restarts", "1", "--steps", "3"]]
+        outs = [run(argv, capsys) for argv in argvs + argvs[:1]]
+        assert [code for code, _, _ in outs] == [0] * 4
+        assert outs[-1] == outs[0]
+        assert build_parser() is build_parser()
+        declared = {"sweep": {"depths": list(range(2, 65))},
+                    "lowerbound": {"h_grid": [2, 4, 8], "m_grid": [8, 16],
+                                   "p_grid": [1.0, 2.0, math.inf]}}
+        for cmd, want in declared.items():
+            args = build_parser().parse_args([cmd])
+            assert {key: getattr(args, key) for key in want} == want

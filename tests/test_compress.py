@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from capnet import compress, matlin
-from capnet.errors import DegenerateLayerError, VerificationError
+from capnet.errors import DegenerateLayerError, NumericalError, VerificationError
 from capnet.network import forward, forward_batch, profile
 from capnet.verify import random_net
 from conftest import make_net
@@ -141,6 +141,19 @@ class TestVerifyCertificate:
             compress.verify_certificate(net, compressed, fake, B=1.0,
                                         samples=100, seed=0)
 
+    def test_overflowing_forward_pass_is_a_numerical_failure(self):
+        net = make_net([2.0 * np.eye(2)], [None])
+        _, cert = compress.rank1_replace(net, p=2.0, r=1, B=1.0)
+        with pytest.raises(NumericalError, match="overflowed"):
+            compress.verify_certificate(net, net, cert, B=1e308, samples=10, seed=0)
+
+    def test_overflowing_deviation_is_a_numerical_failure(self):
+        # both forward passes are finite, their difference is not
+        net, flipped = make_net([np.eye(2)], [None]), make_net([-np.eye(2)], [None])
+        _, cert = compress.rank1_replace(net, p=2.0, r=1, B=1.0)
+        with pytest.raises(NumericalError, match="overflowed"):
+            compress.verify_certificate(net, flipped, cert, B=1e308, samples=10, seed=0)
+
     def test_deterministic_in_seed(self, rng):
         net = random_net(rng, depth=3, max_width=4)
         compressed, cert = compress.rank1_replace(net, p=2.0, r=3, B=1.0)
@@ -207,6 +220,11 @@ class TestDomainChecks:
         compressed, cert = compress.rank1_replace(net, p=2.0, r=2, B=1.0)
         with pytest.raises(ValueError, match="domain radius"):
             compress.verify_certificate(net, compressed, cert, B=B, samples=10, seed=0)
+
+    def test_overflowing_bounds_are_a_numerical_failure(self):
+        net = make_net([np.diag([2.0, 1.0]), np.diag([2.0, 1.0])])
+        with pytest.raises(NumericalError, match="overflowed"):
+            compress.rank1_replace(net, p=2.0, r=1, B=1e308)
 
     @pytest.mark.parametrize("override", [0.0, -1.0, math.nan, math.inf])
     def test_bad_overrides_rejected(self, override, rng):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ from hypothesis import strategies as st
 
 from capnet import matlin, verify
 from capnet.errors import ParseError, ShapeError
-from capnet.network import (Dataset, Layer, Network, NormProfile, dataset_from_obj,
+from capnet.network import (Dataset, Layer, Network, NormProfile, _row_norms, dataset_from_obj,
                             dataset_to_obj, forward, forward_batch,
                             lipschitz_product, load_network, network_from_obj,
                             network_to_obj, profile, save_network, sub_forward)
-from conftest import make_net, sphere_points
+from conftest import load_perfbench, make_net, sphere_points
 
 
 class TestForward:
@@ -249,6 +250,28 @@ class TestValidation:
         assert d.radius == pytest.approx(5.0)
         with pytest.raises(ParseError):
             Dataset(points=np.array([[np.inf, 0.0]]))
+
+    def test_radius_of_points_whose_squares_overflow(self):
+        # squared, the points overflow; the radius itself is representable
+        _, obj, _ = load_perfbench("inputs").generate(0)
+        points = np.array(obj["points"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = Dataset(points=points * 1e200).radius
+        assert math.isfinite(big)
+        assert abs(big / (1e200 * Dataset(points=points).radius) - 1.0) <= 1e-15
+
+    def test_row_norms_keep_the_plain_bits_where_they_are_finite(self, rng):
+        a = rng.standard_normal((200, 7)) * 10.0 ** rng.uniform(-100, 100, (200, 1))
+        plain = np.sqrt((a * a).sum(axis=1))
+        assert np.array_equal(_row_norms(a), plain)
+        b = a.copy()
+        b[::3] *= 1e200  # the squares of most of these rows overflow
+        norms = _row_norms(b)
+        assert np.array_equal(np.delete(norms, np.s_[::3]), np.delete(plain, np.s_[::3]))
+        assert np.allclose(norms[::3], 1e200 * plain[::3], rtol=2e-15, atol=0.0)
+        # a norm above the largest float
+        assert _row_norms(np.array([[1.5e308, 1.5e308]]))[0] == math.inf
 
 
 class TestSerialization:
