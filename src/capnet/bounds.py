@@ -75,6 +75,17 @@ def bound_pacbayes_spectral(prof: NormProfile, B: float, m: int, h: int) -> floa
 # sqrt-depth bounds with exact constants
 # ---------------------------------------------------------------------------
 
+def _root_sum_squares(x: np.ndarray, axis=None) -> float:
+    """sqrt of the largest sum of squares of x along axis (all of x for None);
+    an overflowing sum is taken over x / max |x|, as ``network._row_norms`` does."""
+    with np.errstate(over="ignore"):
+        total = float((x * x).sum(axis=axis).max())
+    if total < math.inf:
+        return math.sqrt(total)
+    top = float(np.abs(x).max())
+    return top * math.sqrt(float(((x / top) * (x / top)).sum(axis=axis).max()))
+
+
 def bound_frobenius_sqrt_depth(prof: NormProfile, data: Dataset) -> float:
     """Exact-constant Frobenius bound with sqrt(depth) growth.
 
@@ -82,10 +93,8 @@ def bound_frobenius_sqrt_depth(prof: NormProfile, data: Dataset) -> float:
     Valid for element-wise, positive-homogeneous activations; callers gate
     applicability.
     """
-    m = data.m
-    energy = float((data.points * data.points).sum())
     return prof.frobenius_product * (math.sqrt(2.0 * math.log(2.0) * prof.depth) + 1.0) \
-        * math.sqrt(energy) / m
+        * _root_sum_squares(data.points) / data.m
 
 
 def bound_frobenius_sqrt_depth_weak(prof: NormProfile, B: float, m: int) -> float:
@@ -102,11 +111,8 @@ def bound_row_l1_sqrt_depth(prof: NormProfile, data: Dataset) -> float:
     where M(j) is the largest l1 row norm of layer j and n the input
     dimension.  Valid for element-wise 1-Lipschitz activations fixing 0.
     """
-    m = data.m
-    n = data.dim
-    col_energy = float((data.points * data.points).sum(axis=0).max())
-    return 2.0 * prof.rows_l1_max_product * math.sqrt(prof.depth + 1.0 + math.log(n)) \
-        * math.sqrt(col_energy) / m
+    return 2.0 * prof.rows_l1_max_product * math.sqrt(prof.depth + 1.0 + math.log(data.dim)) \
+        * _root_sum_squares(data.points, axis=0) / data.m
 
 
 def bound_row_l1_sqrt_depth_weak(prof: NormProfile, B: float, m: int, n: int) -> float:

@@ -234,15 +234,17 @@ def project_l1_ball(v, radius: float) -> np.ndarray:
     return np.sign(v) * np.maximum(a - theta, 0.0)
 
 
-def project_l1_rows(w, radius: float) -> np.ndarray:
+def project_l1_rows(w, radius) -> np.ndarray:
     """Project every row of a (rows, n) stack onto the l1 ball.
 
     The sorted-threshold rule of :func:`project_l1_ball` along the last
     axis, with one sort and one cumsum for the whole stack; each row comes
     out bit-identical to ``project_l1_ball(row, radius)``, and rows inside
-    the ball come back unchanged.
+    the ball come back unchanged.  radius is a float or a (rows,) array of
+    one radius per row, each row with the bits of its own scalar call.
     """
-    _check_radius(radius)
+    many = isinstance(radius, np.ndarray)  # a float takes no array check
+    _check_radius(radius.min(initial=1.0) if many else radius)
     w = np.asarray(w, dtype=np.float64)
     a = np.abs(w)
     inside = a.sum(axis=1) <= radius
@@ -251,7 +253,7 @@ def project_l1_rows(w, radius: float) -> np.ndarray:
     u = np.sort(a, axis=1)[:, ::-1]
     css = np.cumsum(u, axis=1)
     ks = np.arange(1, w.shape[1] + 1)
-    hits = u - (css - radius) / ks > 0
+    hits = u - (css - (radius[:, None] if many else radius)) / ks > 0
     rho = np.where(hits.any(axis=1), w.shape[1] - 1 - hits[:, ::-1].argmax(axis=1), 0)
     theta = (css[np.arange(w.shape[0]), rho] - radius) / (rho + 1.0)
     return np.where(inside[:, None], w, np.sign(w) * np.maximum(a - theta[:, None], 0.0))

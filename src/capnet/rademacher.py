@@ -28,6 +28,7 @@ CONTRACTION_CAP = 14    # sign-enumeration cap inside the contraction harnesses
 COVER_MAX_GRID = 16     # largest x-grid for the explicit Lipschitz cover
 ASCENT_BLOCK_BYTES = 1 << 22  # weights and layer outputs of one stack of ascent trajectories
 SIGN_BLOCK_BITS = 14    # an enumeration block holds 2^14 sign vectors
+CONTRACTION_STACK_ROWS = 1 << 10  # (function, sign vector) rows of one contraction stack
 
 
 @dataclass(frozen=True)
@@ -536,51 +537,82 @@ def _univariate(tag: str):
     raise ValueError(f"unknown scalar activation {tag!r}")
 
 
-def _check_contraction(f_values, R: float, lam: float, pool, project, right_norm,
-                       activation: str, label: str) -> tuple[float, float]:
-    """The peeling check for one ball: pool(dim) gives the feasible starting
-    directions, project maps rows back onto the ball, and right_norm is the
-    dual norm over the last axis of the (E, K, dim) signed sums.  Each sign
-    vector's best start per function is refined by projected ascent, the K
-    functions stepping as one (K, E, dim) stack whose slices get their lone
-    bits.  R and lam must be finite and positive (the step needs g(z) =
-    exp(lam z) increasing), and f_values finite of non-empty shape."""
-    if not (0 < R < math.inf and 0 < lam < math.inf):
-        raise ValueError(f"need finite R > 0 and lam > 0, got R={R}, lam={lam}")
-    f = np.asarray(f_values, dtype=np.float64)
-    if f.ndim != 3 or 0 in f.shape:
-        raise ValueError(f"f_values must have non-empty shape (K, m, dim), got {f.shape}")
-    if not np.isfinite(f).all():
-        raise ValueError("f_values must be finite")
-    m, dim = f.shape[1:]
-    if m > CONTRACTION_CAP:
-        raise ValueError(f"m={m} exceeds the enumeration cap {CONTRACTION_CAP}")
-    act, dact = _univariate(activation)
-    signs = sign_matrix(m)
+def _check_contraction(f_values, R, lam, seed, activation, tags, pool, project, right_norm,
+                       label: str):
+    """The peeling check for one ball on one (K, m, dim) f_values or a list of
+    them (R, lam, seed, activation shared or one per instance): pool(dim, R,
+    seed) gives the starting directions, project(w, radius) maps each row back
+    onto its ball, right_norm is the dual norm of the (E, K, dim) signed sums.
+    Each sign vector's best start per function is refined by projected ascent,
+    the instances of one (m, dim) as (sum K, E, dim) stacks of at most
+    CONTRACTION_STACK_ROWS rows (or one instance) ordered by activation tag,
+    whose slices get their lone bits; rhs and lhs are reduced per instance.
+    All instances are validated first (R, lam finite and positive, as exp(lam
+    z) must increase); a ValueError or VerificationError names the index."""
+    many = isinstance(f_values, list)
+    fs = list(f_values) if many else [f_values]
+    Rs, lams, seeds, acts = cols = [x if many and isinstance(x, list) else [x] * len(fs)
+                                    for x in (R, lam, seed, activation)]
+    if any(len(col) != len(fs) for col in cols):
+        raise ValueError(f"need R, lam, seed and activation for each of {len(fs)} instances")
+    for i, (r, lm, tag) in enumerate(zip(Rs, lams, acts)):
+        fs[i] = f = np.asarray(fs[i], dtype=np.float64)
+        at = f"instance {i}: "
+        if not (0 < r < math.inf and 0 < lm < math.inf):
+            raise ValueError(at + f"need finite R > 0 and lam > 0, got R={r}, lam={lm}")
+        if f.ndim != 3 or 0 in f.shape:
+            raise ValueError(at + f"f_values must have non-empty shape (K, m, dim), got {f.shape}")
+        if not np.isfinite(f).all():
+            raise ValueError(at + "f_values must be finite")
+        if f.shape[1] > CONTRACTION_CAP:
+            raise ValueError(at + f"m={f.shape[1]} exceeds the enumeration cap {CONTRACTION_CAP}")
+        if tag not in tags:
+            raise ValueError(at + f"the {label} step takes {' or '.join(tags)}, got {tag!r}")
+    stacks, key, rows = [], None, 0
+    for i in sorted(range(len(fs)), key=lambda i: (fs[i].shape[1:], acts[i])):
+        size = len(fs[i]) << fs[i].shape[1]                  # K * 2^m rows
+        if fs[i].shape[1:] != key or rows + size > CONTRACTION_STACK_ROWS:
+            stacks, key, rows = stacks + [[]], fs[i].shape[1:], 0
+        stacks[-1].append(i)
+        rows += size
+    out = [None] * len(fs)
+    for stack in stacks:
+        (m, dim), ks = fs[stack[0]].shape[1:], [len(fs[i]) for i in stack]
+        signs, f = sign_matrix(m), np.concatenate([fs[i] for i in stack])   # f: (N, m, dim)
+        dirs = np.concatenate([np.repeat(pool(dim, Rs[i], seeds[i])[None], k, axis=0)
+                               for i, k in zip(stack, ks)])                  # (N, S, dim)
+        radius = np.repeat([Rs[i] for i in stack], [k * len(signs) for k in ks])
+        ends = np.cumsum(ks)
+        last = {acts[i]: end for i, end in zip(stack, ends)}   # where each tag's slab ends
+        fns = [(_univariate(tag), slice(lo, hi))
+               for (tag, hi), lo in zip(last.items(), [0, *last.values()])]
 
-    t = np.einsum("cm,kmd->ckd", signs, f)
-    rhs = 2.0 * float(np.exp(lam * R * right_norm(t)).max(axis=1).mean())
+        def act(z, d=0):  # each tag's function (d=1: its derivative) on its slab
+            return np.concatenate([fn[d](z[sl]) for fn, sl in fns])
+        cand = signs @ act(f @ dirs.swapaxes(1, 2))                      # (N, E, S)
+        np.abs(cand, out=cand)
+        w = np.take_along_axis(dirs, cand.argmax(axis=2)[..., None], axis=1)
+        cand = cand.max(axis=2)          # the best start's value, not held while stepping
+        for step in range(1, 26):
+            z = w @ f.swapaxes(1, 2)                                     # (N, E, m)
+            inner = (signs * act(z)).sum(axis=2)
+            grad = (signs * act(z, 1)) @ f                               # (N, E, dim)
+            w = w + (0.25 / math.sqrt(step)) * np.sign(inner)[..., None] * grad
+            w = project(w.reshape(-1, dim), radius).reshape(w.shape)
+        inner_r = np.abs((signs * act(w @ f.swapaxes(1, 2))).sum(axis=2))
+        best = np.split(np.maximum(cand, inner_r), ends[:-1])
+        for i, b in zip(stack, best):
+            t = np.einsum("cm,kmd->ckd", signs, fs[i])
+            rhs = 2.0 * float(np.exp(lams[i] * Rs[i] * right_norm(t)).max(axis=1).mean())
+            out[i] = float(np.exp(lams[i] * b.max(axis=0)).mean()), rhs
+    for i, (lhs, rhs) in enumerate(out):
+        if lhs > rhs * (1.0 + 1e-9):
+            raise VerificationError(f"instance {i}: {label} violated: lhs={lhs} > rhs={rhs}")
+    return out if many else out[0]
 
-    dirs = pool(dim)
-    cand = np.abs(signs @ act(f @ dirs.T))              # (K, E, S)
-    w = dirs[cand.argmax(axis=2)]                       # (K, E, dim)
-    for step in range(1, 26):
-        z = w @ f.swapaxes(1, 2)                        # (K, E, m)
-        inner = (signs * act(z)).sum(axis=2)
-        grad = (signs * dact(z)) @ f                    # (K, E, dim)
-        w = w + (0.25 / math.sqrt(step)) * np.sign(inner)[..., None] * grad
-        w = project(w.reshape(-1, dim)).reshape(w.shape)
-    inner_r = np.abs((signs * act(w @ f.swapaxes(1, 2))).sum(axis=2))
-    sup_inner = np.maximum(cand.max(axis=2), inner_r).max(axis=0)
-    lhs = float(np.exp(lam * sup_inner).mean())
-    if lhs > rhs * (1.0 + 1e-9):
-        raise VerificationError(f"{label} violated: lhs={lhs} > rhs={rhs}")
-    return lhs, rhs
 
-
-def check_contraction_frobenius(f_values, R: float, lam: float,
-                                direction_samples: int = 64, seed: int = 0,
-                                activation: str = "relu") -> tuple[float, float]:
+def check_contraction_frobenius(f_values, R, lam, direction_samples: int = 64, seed=0,
+                                activation="relu"):
     """One-sided check of the exp-moment peeling step for Frobenius balls.
 
     f_values has shape (K, m, dim): K vector-valued functions evaluated on m
@@ -588,45 +620,47 @@ def check_contraction_frobenius(f_values, R: float, lam: float,
       lhs = E_eps sup_{f, |w|=R} g(|sum_i eps_i act(w . f_i)|)   (sampled w)
       rhs = 2 E_eps sup_f g(R |sum_i eps_i f_i|)                 (exact)
     and lhs <= rhs must hold; activation must be positive-homogeneous
-    (relu or identity).
+    (relu or identity).  A list of f_values returns the list of their (lhs,
+    rhs), each with its own call's bits (R, lam, seed, activation may be lists).
     """
-    if activation not in ELEMENTWISE_TAGS:
-        raise ValueError("the Frobenius contraction step needs relu or identity")
+    if direction_samples < 1:
+        raise ValueError(f"direction_samples must be at least 1, got {direction_samples}")
 
-    def pool(dim):
+    def pool(dim, R, seed):
         dirs = _rng(seed, 0).standard_normal((direction_samples, dim))
         return dirs * (R / np.sqrt((dirs * dirs).sum(axis=1, keepdims=True)))
 
-    def sphere(w):
+    def sphere(w, radius):
         n = np.sqrt((w * w).sum(axis=1, keepdims=True))
-        return np.where(n > 0, w * (R / n), w)
+        return np.where(n > 0, w * (radius[:, None] / n), w)
 
-    return _check_contraction(f_values, R, lam, pool, sphere,
-                              lambda t: np.sqrt((t * t).sum(axis=2)),
-                              activation, "contraction")
+    return _check_contraction(f_values, R, lam, seed, activation, ELEMENTWISE_TAGS, pool,
+                              sphere, lambda t: np.sqrt((t * t).sum(axis=2)), "contraction")
 
 
-def check_contraction_l1inf(f_values, R: float, lam: float,
-                            direction_samples: int = 64, seed: int = 0,
-                            activation: str = "relu") -> tuple[float, float]:
+def check_contraction_l1inf(f_values, R, lam, direction_samples: int = 64, seed=0,
+                            activation="relu"):
     """One-sided check of the peeling step for per-row l1 balls.
 
-    Same shape conventions as the Frobenius variant, with w ranging over the
-    radius-R l1 ball and the infinity norm on the right side:
+    Same conventions and list calls as the Frobenius variant, with w ranging
+    over the radius-R l1 ball and the infinity norm on the right side:
       rhs = 2 E_eps sup_f g(R max_j |sum_i eps_i f_i[j]|).
     The ball's vertices +-R e_j are always in the candidate pool (they are
-    exact maximisers of the linearised objective); the activation only needs
-    to fix 0, so clip1 is allowed alongside relu and identity.
+    exact maximisers of the linearised objective), so direction_samples may
+    be 0; the activation only needs to fix 0, so clip1 is allowed alongside
+    relu and identity.
     """
-    def pool(dim):
+    if direction_samples < 0:
+        raise ValueError(f"direction_samples must be at least 0, got {direction_samples}")
+
+    def pool(dim, R, seed):
         interior = _rng(seed, 0).standard_normal((direction_samples, dim))
         interior = interior * (R / np.abs(interior).sum(axis=1, keepdims=True))
         return np.concatenate([R * np.eye(dim), -R * np.eye(dim), interior], axis=0)
 
-    return _check_contraction(f_values, R, lam, pool,
-                              lambda w: matlin.project_l1_rows(w, R),
-                              lambda t: np.abs(t).max(axis=2),
-                              activation, "l1/inf contraction")
+    return _check_contraction(f_values, R, lam, seed, activation,
+                              ELEMENTWISE_TAGS + ("clip1",), pool, matlin.project_l1_rows,
+                              lambda t: np.abs(t).max(axis=2), "l1/inf contraction")
 
 
 def check_union_bound(classes, A: float, m: int) -> tuple[float, float]:

@@ -94,16 +94,14 @@ def suite_contraction() -> list[CheckResult]:
         ("l1inf", rademacher.check_contraction_l1inf, ELEMENTWISE_TAGS + ("clip1",)),
     ):
         def run(checker=checker, tags=tags):
-            for i in range(50):
-                k = int(rng.integers(1, 4))
-                m = int(rng.integers(3, 9))
-                dim = int(rng.integers(2, 4))
-                f = rng.standard_normal((k, m, dim))
-                checker(
-                    f, R=float(rng.uniform(0.5, 2.0)), lam=float(rng.uniform(0.1, 0.8)),
-                    direction_samples=48, seed=20241 + i,
-                    activation=tags[i % len(tags)],
-                )
+            fs, Rs, lams = [], [], []
+            for _ in range(50):
+                k, m, dim = (int(rng.integers(lo, hi)) for lo, hi in ((1, 4), (3, 9), (2, 4)))
+                fs.append(rng.standard_normal((k, m, dim)))
+                Rs.append(float(rng.uniform(0.5, 2.0)))
+                lams.append(float(rng.uniform(0.1, 0.8)))
+            checker(fs, R=Rs, lam=lams, direction_samples=48, seed=[20241 + i for i in range(50)],
+                    activation=[tags[i % len(tags)] for i in range(50)])
             return "50 instances"
 
         out.append(_result(f"contraction ({name}): lhs <= rhs", run))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -132,6 +133,18 @@ class TestSqrtDepthBounds:
         a = bounds.bound_row_l1_sqrt_depth(prof, Dataset(points=base))
         b = bounds.bound_row_l1_sqrt_depth(prof, Dataset(points=with_zero_col))
         assert a == b
+
+    def test_points_whose_squares_overflow(self, rng):
+        # squaring points above about 1e154 overflows; the energies are then
+        # summed again scaled by the largest |entry|
+        prof = scalar_chain_profile([1.5, 0.7, 2.0])
+        pts = rng.standard_normal((32, 6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bound in (bounds.bound_frobenius_sqrt_depth, bounds.bound_row_l1_sqrt_depth):
+                big = bound(prof, Dataset(points=pts * 1e200))
+                assert math.isfinite(big)
+                assert big == pytest.approx(1e200 * bound(prof, Dataset(points=pts)), rel=1e-12)
 
     def test_weak_form_dominated_by_exp_depth(self):
         # sqrt(2 ln2 d) + 1 <= 2^d for d >= 2

@@ -489,6 +489,26 @@ class TestBatchedL1Projection:
             assert np.array_equal(got, ref) and np.array_equal(np.signbit(got),
                                                                np.signbit(ref))
 
+    def test_per_row_radius_matches_scalar_calls(self):
+        # the l1/inf contraction harness projects a stack of instances at
+        # once, one radius per row; each row must get its scalar call's bits
+        rng = np.random.default_rng(25)
+        inside = outside = 0
+        for i, (w, radius) in enumerate(_l1_stacks(13, 400)):
+            radii = radius * np.exp(rng.uniform(math.log(0.1), math.log(10.0), len(w)))
+            if i % 3 == 0:  # a row on its own boundary
+                j = int(rng.integers(len(w)))
+                radii[j] = float(np.abs(w[j]).sum()) or radius
+            got = matlin.project_l1_rows(w, radii)
+            ref = np.vstack([matlin.project_l1_rows(row[None], r)
+                             for row, r in zip(w, radii.tolist())])
+            assert np.array_equal(got, ref) and np.array_equal(np.signbit(got),
+                                                               np.signbit(ref))
+            hit = np.abs(w).sum(axis=1) <= radii
+            inside += int(hit.sum())
+            outside += int((~hit).sum())
+        assert inside >= 300 and outside >= 300
+
     def test_rows_inside_come_back_unchanged(self):
         w = np.array([[0.25, -0.0, 0.5], [3.0, -1.0, 0.0]])
         out = matlin.project_l1_rows(w, 1.0)
@@ -503,6 +523,8 @@ class TestBatchedL1Projection:
             matlin.project_l1_ball(np.array([3.0, -1.0]), radius)
         with pytest.raises(ValueError, match="radius"):
             matlin.project_l1_rows(np.array([[3.0, -1.0]]), radius)
+        with pytest.raises(ValueError, match="radius"):
+            matlin.project_l1_rows(np.array([[3.0, -1.0], [0.5, 0.0]]), np.array([1.0, radius]))
 
     def test_radius_below_rounding_of_the_entries(self):
         # u - (u - radius) rounds to 0, so no sorted position passes the test

@@ -674,8 +674,101 @@ class TestContraction:
         check = getattr(rademacher, f"check_contraction_{name}")
         args = dict(R=1.3, lam=0.4, direction_samples=24, seed=9, activation=activation)
         got = check(f, **args)
-        monkeypatch.setattr(rademacher, "_check_contraction", check_contraction_per_function)
+
+        def per_function(f_values, R, lam, seed, activation, tags, pool, project, right_norm,
+                         label):
+            return check_contraction_per_function(
+                f_values, R, lam, lambda dim: pool(dim, R, seed),
+                lambda w: project(w, np.full(len(w), R)), right_norm, activation, label)
+
+        monkeypatch.setattr(rademacher, "_check_contraction", per_function)
         assert got == check(f, **args)
+
+    def test_list_call_matches_single_calls_on_suite_instances(self, monkeypatch):
+        # verify's suite checks its 50 instances per ball in one call, whose
+        # stacks of instances must give each the bits of its own call
+        calls = []
+        for name in ("frobenius", "l1inf"):
+            def record(f_values, real=getattr(rademacher, f"check_contraction_{name}"), **kw):
+                calls.append((real, f_values, kw, real(f_values, **kw)))
+                return calls[-1][-1]
+
+            monkeypatch.setattr(rademacher, f"check_contraction_{name}", record)
+        verify.suite_contraction()
+        assert len(calls) == 2
+        for real, fs, kw, got in calls:
+            singles = [real(f, R=R, lam=lam, direction_samples=kw["direction_samples"],
+                            seed=seed, activation=act)
+                       for f, R, lam, seed, act in zip(fs, kw["R"], kw["lam"], kw["seed"],
+                                                       kw["activation"])]
+            assert len(got) == 50 and got == singles
+
+    @pytest.mark.parametrize("name,tags", [("frobenius", ("relu", "identity")),
+                                           ("l1inf", ("relu", "identity", "clip1"))])
+    def test_mixed_list_matches_single_calls(self, name, tags, monkeypatch):
+        # every tag, m from 3 to the cap, instances of one (m, dim) enough to
+        # fill several bounded stacks, and instances above the bound alone
+        rng = np.random.default_rng(2025)
+        cap = rademacher.CONTRACTION_CAP
+        shapes = [(int(rng.integers(1, 4)), m, int(rng.integers(2, 4))) for m in range(3, cap + 1)]
+        shapes += [(int(rng.integers(1, 4)), 7, 2) for _ in range(12)]
+        shapes += [(2, 10, 3), (1, 10, 3), (3, 10, 3)]
+        assert any(k << m > rademacher.CONTRACTION_STACK_ROWS for k, m, _ in shapes)
+        fs = [rng.standard_normal(shape) for shape in shapes]
+        kw = dict(R=[float(rng.uniform(0.5, 2.0)) for _ in fs],
+                  lam=[float(rng.uniform(0.1, 0.8)) for _ in fs],
+                  seed=[31 + i for i in range(len(fs))],
+                  activation=[tags[i % len(tags)] for i in range(len(fs))])
+        check = getattr(rademacher, f"check_contraction_{name}")
+        real_signs, stacks = rademacher.sign_matrix, []
+        monkeypatch.setattr(rademacher, "sign_matrix", lambda m: stacks.append(m) or real_signs(m))
+        got = check(fs, direction_samples=16, **kw)
+        assert len({f.shape[1:] for f in fs}) < len(stacks) < len(fs)
+        singles = [check(f, direction_samples=16, **{k: v[i] for k, v in kw.items()})
+                   for i, f in enumerate(fs)]
+        assert got == singles
+
+    @pytest.mark.parametrize("name,least", [("frobenius", 1), ("l1inf", 0)])
+    def test_direction_samples_checked(self, name, least, rng):
+        # 0 used to fail inside numpy (argmax of an empty sequence) and -3
+        # with negative dimensions; the l1 pool always holds the vertices
+        check = getattr(rademacher, f"check_contraction_{name}")
+        f = rng.standard_normal((2, 4, 3))
+        for bad in (least - 1, -3):
+            with pytest.raises(ValueError, match="direction_samples"):
+                check(f, R=1.0, lam=0.5, direction_samples=bad)
+        lhs, rhs = check(f, R=1.0, lam=0.5, direction_samples=least)
+        assert 1.0 <= lhs <= rhs * (1 + 1e-9)
+
+    @pytest.mark.parametrize("name", ["frobenius", "l1inf"])
+    def test_list_errors_name_the_instance(self, name, rng, monkeypatch):
+        check = getattr(rademacher, f"check_contraction_{name}")
+        fs = [rng.standard_normal((k, 4, 2)) for k in (1, 2, 2)]
+        bad = [f.copy() for f in fs]
+        bad[2][0, 1, 0] = math.nan
+        real_signs = rademacher.sign_matrix
+        monkeypatch.setattr(rademacher, "sign_matrix", None)  # nothing steps before validation
+        with pytest.raises(ValueError, match="instance 1: need finite R > 0"):
+            check(fs, R=[1.0, -1.0, 1.0], lam=0.5)
+        with pytest.raises(ValueError, match="instance 2: f_values must be finite"):
+            check(bad, R=1.0, lam=0.5)
+        with pytest.raises(ValueError, match="instance 0: the .* step takes"):
+            check(fs, R=1.0, lam=0.5, activation=["bogus", "relu", "relu"])
+        with pytest.raises(ValueError, match="each of 3 instances"):
+            check(fs, R=[1.0, 1.0], lam=0.5)
+        monkeypatch.setattr(rademacher, "sign_matrix", real_signs)
+        assert check([], R=1.0, lam=0.5) == []
+        # a right side of 0 for the K = 2 instances: the first of them is named
+        real = rademacher._check_contraction
+
+        def rigged(*args):
+            *head, right_norm, label = args
+            return real(*head, lambda t: right_norm(t) if t.shape[1] != 2
+                        else np.full(t.shape[:2], -math.inf), label)
+
+        monkeypatch.setattr(rademacher, "_check_contraction", rigged)
+        with pytest.raises(VerificationError, match="instance 1: .*violated"):
+            check(fs, R=1.0, lam=0.5)
 
     @pytest.mark.parametrize("name", ["frobenius", "l1inf"])
     @pytest.mark.parametrize("shape", [(0, 4, 2), (2, 0, 2), (2, 4, 0)])
